@@ -18,8 +18,9 @@ the (2 * cutoff + 1)**(2n) retained coefficients of a field in fftfreq order,
 and the curvature multiplier act on band arrays directly.  The flow keeps its
 state there between RK4 stages.
 
-Transforms run through scipy.fft; ``set_fft_workers`` wires the worker count
-(the CLI maps the PLURISYM_THREADS environment variable onto it).
+Transforms run through scipy.fft with its own worker default, so a caller
+picks the worker count with the ``scipy.fft.set_workers`` context manager
+(the CLI does so for the PLURISYM_THREADS environment variable).
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .forms import (
 
 __all__ = [
     "TorusGrid",
-    "set_fft_workers",
-    "get_fft_workers",
     "integrate",
     "global_inner_product",
     "l2_norm",
@@ -56,21 +55,6 @@ __all__ = [
     "residual_norms",
     "random_band_limited",
 ]
-
-_fft_workers = 1
-
-
-def set_fft_workers(count: int) -> None:
-    global _fft_workers
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"worker count must be positive, got {count}")
-    _fft_workers = count
-
-
-def get_fft_workers() -> int:
-    return _fft_workers
-
 
 # ----------------------------------------------------------------------
 # derivative insertion tables (independent of grid resolution)
@@ -188,10 +172,10 @@ class TorusGrid:
     # ---- transforms ----
 
     def fft(self, arr: np.ndarray) -> np.ndarray:
-        return sfft.fftn(arr, axes=self.axes, workers=_fft_workers)
+        return sfft.fftn(arr, axes=self.axes)
 
     def ifft(self, arr: np.ndarray) -> np.ndarray:
-        return sfft.ifftn(arr, axes=self.axes, workers=_fft_workers)
+        return sfft.ifftn(arr, axes=self.axes)
 
     def to_band(self, arr: np.ndarray) -> np.ndarray:
         """Fourier coefficients of a field (trailing grid axes) on the resolved band.
@@ -203,10 +187,10 @@ class TorusGrid:
         n = self.n
         lead = arr.shape[:arr.ndim - 2 * n]
         half = self.points ** n
-        inner = sfft.fftn(arr, axes=self.axes[n:], workers=_fft_workers)
+        inner = sfft.fftn(arr, axes=self.axes[n:])
         inner = inner.reshape(lead + self.shape[:n] + (half,))
         inner = inner.take(self._half_band_flat, axis=-1)
-        outer = sfft.fftn(inner, axes=tuple(range(-n - 1, -1)), workers=_fft_workers)
+        outer = sfft.fftn(inner, axes=tuple(range(-n - 1, -1)))
         outer = outer.reshape(lead + (half, -1)).take(self._half_band_flat, axis=-2)
         return outer.reshape(lead + self.band_shape)
 
@@ -223,11 +207,11 @@ class TorusGrid:
         rest = (slice(None),) * n
         for grid_block, band_block in self._band_blocks:
             inner[(Ellipsis,) + grid_block + rest] = band[(Ellipsis,) + band_block + rest]
-        inner = sfft.ifftn(inner, axes=self.axes[:n], workers=_fft_workers)
+        inner = sfft.ifftn(inner, axes=self.axes[:n])
         full = np.zeros(lead + self.shape, dtype=np.complex128)
         for grid_block, band_block in self._band_blocks:
             full[(Ellipsis,) + grid_block] = inner[(Ellipsis,) + band_block]
-        return sfft.ifftn(full, axes=self.axes[n:], workers=_fft_workers)
+        return sfft.ifftn(full, axes=self.axes[n:])
 
     def band_conjugate(self, chat: np.ndarray, p: int, q: int) -> np.ndarray:
         """Band coefficients of conj of a (p,q)-form: sign (-1)^(pq) * conj(F(-k)), swapped."""
@@ -335,11 +319,10 @@ class TorusGrid:
         hat = self.derivative_hat(self.fft(a.coeffs), a.p, a.q, anti=True)
         return Form(self.n, a.p, a.q + 1, self.ifft(hat))
 
-    def truncate(self, a: Form, cutoff: Optional[int] = None) -> Form:
-        """Project a field onto the resolved band (the dealias cutoff by default)."""
+    def truncate(self, a: Form) -> Form:
+        """Project a field onto the resolved band."""
         self._check_field(a)
-        mask = self.dealias_mask if cutoff is None else self.cutoff_mask(cutoff)
-        return Form(a.n, a.p, a.q, self.ifft(self.fft(a.coeffs) * mask))
+        return Form(a.n, a.p, a.q, self.ifft(self.fft(a.coeffs) * self.dealias_mask))
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +351,11 @@ def global_inner_product(grid: TorusGrid, a: Form, b: Form,
 
 
 def l2_norm(grid: TorusGrid, a: Form, metric: Optional[HermitianMetric] = None) -> float:
+    """L^2 norm of a field: in the metric pairing, or pointwise flat without one."""
+    if metric is None:
+        if a.coeffs.size == 0:
+            return 0.0
+        return float(np.sqrt(np.mean(a.flat_norm_sq())))
     return float(np.sqrt(max(global_inner_product(grid, a, a, metric).real, 0.0)))
 
 

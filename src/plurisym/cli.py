@@ -16,11 +16,13 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy.fft
 
-from .calculus import TorusGrid, set_fft_workers
+from .calculus import TorusGrid
 from .config import RunConfig, parse_config
 from .errors import ConfigError, ConstraintViolationError, PositivityLostError
 from .flow import FlowConfig, make_initial_hs, make_initial_kahler, run_flow
@@ -383,18 +385,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _threads_from_env() -> Optional[int]:
+    """FFT worker count from PLURISYM_THREADS, or None when it is unset."""
+    value = os.environ.get("PLURISYM_THREADS")
+    if value is None:
+        return None
+    try:
+        count = int(value)
+    except ValueError as err:
+        raise ConfigError(f"PLURISYM_THREADS: {err}") from err
+    if count < 1:
+        raise ConfigError(f"PLURISYM_THREADS: worker count must be positive, got {count}")
+    return count
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        workers = os.environ.get("PLURISYM_THREADS")
-        if workers is not None:
-            try:
-                set_fft_workers(int(workers))
-            except ValueError as err:
-                raise ConfigError(f"PLURISYM_THREADS: {err}") from err
+        workers = _threads_from_env()
         if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2 ** 64:
             raise ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
-        return args.func(args)
+        # the worker count holds for this command only
+        with nullcontext() if workers is None else scipy.fft.set_workers(workers):
+            return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 3

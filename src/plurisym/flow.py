@@ -186,27 +186,19 @@ def _velocities(grid: TorusGrid, metric: HermitianMetric,
     return omega_vel, phi_vel
 
 
-def pluriclosed_rhs(grid: TorusGrid, omega: Form,
-                    metric: Optional[HermitianMetric] = None) -> Form:
-    """Velocity of omega: both codifferential blocks plus the curvature form.
+def pluriclosed_rhs(grid: TorusGrid, omega: Form, metric: HermitianMetric) -> Form:
+    """Velocity of omega in its metric: both codifferential blocks plus the curvature form.
 
     Evaluated by the integrator's own stage (see ``_velocities``) and brought
     back through the Hermitian block transform, so the result is
     self-conjugate to the last bit.
     """
-    if metric is None:
-        metric = metric_of_form(omega)
     vel, _ = _velocities(grid, metric, grid.del_form(omega).coeffs, None)
     return Form(grid.n, 1, 1, 1j * grid.hermitian_from_band(-1j * vel))
 
 
-def phi_rhs(grid: TorusGrid, phi: Form, omega: Optional[Form] = None,
-            metric: Optional[HermitianMetric] = None) -> Form:
+def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
     """Velocity of phi: minus the holomorphic derivative of the traced dbar(phi)."""
-    if metric is None:
-        if omega is None:
-            raise ValueError("phi_rhs needs either omega or its metric")
-        metric = metric_of_form(omega)
     _, vel = _velocities(grid, metric, None, grid.dbar_form(phi).coeffs)
     return Form(grid.n, 2, 0, grid.from_band(vel))
 
@@ -220,8 +212,8 @@ def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
     """Physical stage fields of a band state; builds (and checks) the metric.
 
     ``hermitian_from_band`` makes the metric block Hermitian to the last bit,
-    so instead of scanning for it the defect is recorded as exactly zero;
-    positivity is always enforced.
+    so the metric skips the Hermiticity scan (``herm_tol=None``); positivity
+    is always enforced.
     """
     g = grid.hermitian_from_band(-1j * omega_hat, rem.g_parts)
     del_omega = grid.from_band(grid.derivative_hat(omega_hat, 1, 1, anti=False, band=True))
@@ -229,7 +221,6 @@ def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
     dbar_phi = grid.from_band(grid.derivative_hat(phi_hat, 2, 0, anti=True, band=True))
     dbar_phi += rem.dbar_phi
     metric = HermitianMetric.from_matrix(g, herm_tol=None)
-    metric.hermiticity_defect = 0.0
     return _Stage(omega_hat, phi_hat, rem, metric, del_omega, dbar_phi)
 
 
@@ -378,8 +369,9 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
     """Integrate the coupled system, sampling diagnostics every few steps.
 
     Samples are taken at the start, every ``sample_every`` steps, and at the
-    end.  A sample whose constraint residual exceeds ``constraint_abort``
-    raises ConstraintViolationError; positivity loss during a step raises
+    end.  A sample whose constraint residual is not within
+    ``constraint_abort`` (a NaN one included) raises
+    ConstraintViolationError; positivity loss during a step raises
     PositivityLostError unless the evidence points at the integrator (the
     constraint already broken, or dt above the parabolic guideline), which is
     reported as a constraint violation instead.  Either exception carries the
@@ -401,7 +393,7 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
         records.append(rec)
         if config.collect_states:
             states.append(FlowState(st.t, st.omega, st.phi, None))
-        if rec["hs_constraint_residual"] > config.constraint_abort:
+        if not rec["hs_constraint_residual"] <= config.constraint_abort:
             raise ConstraintViolationError(
                 f"constraint residual {rec['hs_constraint_residual']:.3e} exceeded "
                 f"{config.constraint_abort:g} at t={st.t:.6g}",
@@ -417,7 +409,7 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
             state = step_rk4(grid, state, config.dt)
         except PositivityLostError as err:
             last = residual_norms(grid, state.omega, state.phi)
-            if last["hs_constraint"] > config.constraint_abort:
+            if not last["hs_constraint"] <= config.constraint_abort:
                 raise ConstraintViolationError(
                     f"positivity failed near t={state.t + config.dt:.6g} with the "
                     f"constraint residual already at {last['hs_constraint']:.3e}",

@@ -371,29 +371,30 @@ class HermitianMetric:
         return self.g.shape[2:]
 
     @classmethod
-    def from_matrix(cls, g: np.ndarray, require_positive: bool = True,
+    def from_matrix(cls, g: np.ndarray,
                     herm_tol: Optional[float] = 1e-8) -> "HermitianMetric":
         """Build from the coefficient block g_{i jbar}.
 
-        ``herm_tol=None`` skips the Hermiticity scan (defect recorded as nan)
+        ``herm_tol=None`` skips the Hermiticity scan (defect recorded as 0)
         and relies on the Hermitian structure; only for callers that
         guarantee g == g^H to the last bit, e.g. flow stages, whose lower
         triangle is the conjugate of the upper one by construction.
-        Positivity is always checked when ``require_positive``.
+        Raises PositivityLostError unless the smallest eigenvalue is
+        positive, a NaN one included.
         """
         g = np.asarray(g, dtype=np.complex128)
         n = g.shape[0]
         if g.shape[:2] != (n, n):
             raise ValueError(f"metric block must be square, got {g.shape[:2]}")
         if herm_tol is None:
-            defect = float("nan")
+            defect = 0.0
         else:
             scale = float(np.max(np.abs(g))) or 1.0
             defect = float(np.max(np.abs(g - _swap_conj(g)))) / scale
             if defect > herm_tol:
                 raise ValueError(f"metric is not Hermitian: defect {defect:.3e} > {herm_tol:.1e}")
         lo, hi = _eig_range(g, n)
-        if require_positive and lo <= 0.0:
+        if not lo > 0.0:
             raise PositivityLostError(
                 f"metric lost positivity: smallest eigenvalue {lo:.6e}", margin=lo
             )
@@ -413,17 +414,15 @@ def fundamental_form(metric: HermitianMetric) -> Form:
     return Form(metric.n, 1, 1, 1j * metric.g)
 
 
-def metric_of_form(w: Form, require_positive: bool = True,
-                   herm_tol: Optional[float] = 1e-8) -> HermitianMetric:
+def metric_of_form(w: Form) -> HermitianMetric:
     """Extract g_{i jbar} = -sqrt(-1) * (coefficient of dz^i ^ dzbar^j) from a real (1,1)-form.
 
     Reality of w is equivalent to Hermiticity of g, which is what gets
-    validated; positivity failure raises unless ``require_positive=False``
-    (diagnostics on broken states still need the margin).
+    validated; a form that is not positive raises PositivityLostError.
     """
     if w.bidegree != (1, 1):
         raise ValueError(f"metric extraction needs a (1,1)-form, got {w.bidegree}")
-    return HermitianMetric.from_matrix(-1j * w.coeffs, require_positive, herm_tol)
+    return HermitianMetric.from_matrix(-1j * w.coeffs)
 
 
 def volume_form(metric: HermitianMetric) -> Form:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .calculus import (
     codifferential_del,
     global_inner_product,
     integrate,
+    l2_norm,
     random_band_limited,
     residual_norms,
 )
@@ -50,11 +51,6 @@ __all__ = [
 ]
 
 POINTWISE_SAMPLES = 100
-
-# Test hook: when True the star-vs-contraction check flips the sign of the
-# contraction side, which must make that suite fail.  Proves the suite would
-# catch a miswired build; never set outside tests.
-_SIGN_FLIP = False
 
 
 @dataclass
@@ -100,17 +96,17 @@ def _flat_norm(a: Form) -> float:
 
 def pointwise_suite(seed: int = 20250819,
                     samples: int = POINTWISE_SAMPLES,
-                    sign_flip: Optional[bool] = None) -> List[CheckResult]:
+                    sign_flip: bool = False) -> List[CheckResult]:
     """Pointwise exterior-algebra invariants over random (metric, form) draws.
 
     The headline check contracts a (2,1)-form against the metric two ways:
     through the Hodge star of its wedge with omega^(n-2), and through the
     contraction table.  Star and contraction never share code, so agreement
     pins the orientation, the pairing normalization, and both combinatorial
-    tables at once.
+    tables at once.  ``sign_flip`` flips the sign of the contraction side,
+    which must make that check fail: a test hook proving the suite would
+    catch a miswired build.
     """
-    if sign_flip is None:
-        sign_flip = _SIGN_FLIP
     rng = np.random.default_rng(seed)
     results: List[CheckResult] = []
     flip = -1.0 if sign_flip else 1.0
@@ -178,12 +174,6 @@ def _grid_draws(grid: TorusGrid, rng: np.random.Generator, p: int, q: int,
     return out
 
 
-def _flat_l2(grid: TorusGrid, a: Form) -> float:
-    if a.coeffs.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(a.flat_norm_sq())))
-
-
 def calculus_suite(seed: int = 20250819) -> List[CheckResult]:
     """Spectral-calculus invariants on the standard desk-scale grids.
 
@@ -202,20 +192,20 @@ def calculus_suite(seed: int = 20250819) -> List[CheckResult]:
         n = grid.n
         for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
             a = _grid_draws(grid, rng, p, q)
-            norm = max(_flat_l2(grid, a), 1e-300)
+            norm = max(l2_norm(grid, a), 1e-300)
             dd = grid.del_form(grid.del_form(a))
             bb = grid.dbar_form(grid.dbar_form(a))
             mixed = grid.dbar_form(grid.del_form(a)) + grid.del_form(grid.dbar_form(a))
             nil_worst = max(
                 nil_worst,
-                _flat_l2(grid, dd) / norm,
-                _flat_l2(grid, bb) / norm,
-                _flat_l2(grid, mixed) / norm,
+                l2_norm(grid, dd) / norm,
+                l2_norm(grid, bb) / norm,
+                l2_norm(grid, mixed) / norm,
             )
         # integrals of exact top-degree forms vanish
         chi = _grid_draws(grid, rng, n - 1, n)
         eta = _grid_draws(grid, rng, n, n - 1)
-        top_scale = max(_flat_l2(grid, chi), _flat_l2(grid, eta), 1e-300)
+        top_scale = max(l2_norm(grid, chi), l2_norm(grid, eta), 1e-300)
         stokes_worst = max(
             stokes_worst,
             abs(integrate(grid, grid.del_form(chi))) / top_scale,
@@ -248,14 +238,14 @@ def calculus_suite(seed: int = 20250819) -> List[CheckResult]:
         rhs_t = metric_trace(grid.del_form(omega), m)
         torsion_worst = max(
             torsion_worst,
-            _flat_l2(grid, lhs_t - rhs_t) / max(_flat_l2(grid, rhs_t), 1e-300),
+            l2_norm(grid, lhs_t - rhs_t) / max(l2_norm(grid, rhs_t), 1e-300),
         )
         c = chern_form(grid, m)
         chern_worst = max(
             chern_worst,
-            _flat_l2(grid, conjugate(c) - c),
-            _flat_l2(grid, grid.del_form(c)),
-            _flat_l2(grid, grid.dbar_form(c)),
+            l2_norm(grid, conjugate(c) - c),
+            l2_norm(grid, grid.del_form(c)),
+            l2_norm(grid, grid.dbar_form(c)),
         )
     results.append(CheckResult("codifferential adjointness", adj_worst, 1e-10))
     results.append(CheckResult("torsion trace identity", torsion_worst, 1e-10))

@@ -8,13 +8,11 @@ from plurisym.calculus import (
     chern_form,
     codifferential_dbar,
     codifferential_del,
-    get_fft_workers,
     global_inner_product,
     integrate,
     l2_norm,
     random_band_limited,
     residual_norms,
-    set_fft_workers,
 )
 from plurisym.forms import (
     Form,
@@ -305,14 +303,3 @@ def test_random_band_limited_is_reproducible_and_limited():
     hat = grid.fft(u1.astype(np.complex128))
     outside = hat[~grid.cutoff_mask(2)]
     assert np.max(np.abs(outside)) < 1e-10 * np.max(np.abs(hat))
-
-
-def test_fft_worker_setting():
-    assert get_fft_workers() == 1
-    set_fft_workers(2)
-    try:
-        assert get_fft_workers() == 2
-    finally:
-        set_fft_workers(1)
-    with pytest.raises(ValueError):
-        set_fft_workers(0)

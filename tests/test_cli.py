@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line runners and their exit-code contract."""
 
+import functools
 import importlib.metadata
 import json
 import os
@@ -9,9 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.fft
 
+import plurisym.cli
 import plurisym.verify
-from plurisym.calculus import get_fft_workers, set_fft_workers
 from plurisym.cli import CSV_COLUMNS, main
 
 FROZEN_HEADER = ("t,V,F,d_omega_residual,hs_constraint_residual,"
@@ -21,6 +23,8 @@ FROZEN_HEADER = ("t,V,F,d_omega_residual,hs_constraint_residual,"
 # product far from the N=8 Nyquist band
 SMALL_FLOW = {"dimension": 2, "grid": 8, "initial": {"mode_cutoff": 1},
               "flow": {"steps": 20, "sample_every": 5}}
+# enough evenly spaced samples for the volume analysis
+VOLUME_FLOW = {"steps": 60, "sample_every": 5}
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -60,16 +64,16 @@ def test_flow_flat_kahler_rows_are_a_fixed_point(tmp_path):
     assert tails.pop() == ("1", "0", "0", "0", "0", "0", "1")
 
 
-def test_flow_reruns_are_byte_identical(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
+@pytest.mark.parametrize("command", ["flow", "volume"])
+def test_flow_reruns_are_byte_identical(tmp_path, monkeypatch, command):
+    # volume also runs the analysis pass, whose transforms cover the full grid
+    flow = VOLUME_FLOW if command == "volume" else {}
+    cfg = write_config(tmp_path, flow=flow)
     paths = [tmp_path / f"run{i}.csv" for i in range(3)]
-    assert main(["flow", "--config", cfg, "--output", str(paths[0])]) == 0
-    assert main(["flow", "--config", cfg, "--output", str(paths[1])]) == 0
+    assert main([command, "--config", cfg, "--output", str(paths[0])]) == 0
+    assert main([command, "--config", cfg, "--output", str(paths[1])]) == 0
     monkeypatch.setenv("PLURISYM_THREADS", "3")
-    try:
-        assert main(["flow", "--config", cfg, "--output", str(paths[2])]) == 0
-    finally:
-        set_fft_workers(1)
+    assert main([command, "--config", cfg, "--output", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
     assert b"\r" not in blobs[0]
@@ -130,7 +134,9 @@ def test_verify_passes_and_reports_every_suite(tmp_path):
 
 def test_verify_sign_flip_hook_exits_4_and_names_the_suite(tmp_path, capsys,
                                                            monkeypatch):
-    monkeypatch.setattr(plurisym.verify, "_SIGN_FLIP", True)
+    monkeypatch.setattr(plurisym.verify, "pointwise_suite",
+                        functools.partial(plurisym.verify.pointwise_suite,
+                                          sign_flip=True))
     out = tmp_path / "flip.csv"
     assert main(["verify", "--output", str(out)]) == 4
     err = capsys.readouterr().err
@@ -143,9 +149,6 @@ def test_verify_sign_flip_hook_exits_4_and_names_the_suite(tmp_path, capsys,
 # ----------------------------------------------------------------------
 # volume
 # ----------------------------------------------------------------------
-
-VOLUME_FLOW = {"steps": 60, "sample_every": 5}
-
 
 def test_volume_report_structure_and_pass(tmp_path, capsys):
     cfg = write_config(tmp_path, flow=VOLUME_FLOW)
@@ -243,23 +246,32 @@ def test_missing_config_file_exits_3(capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
-def test_threads_env_var_caps_workers(tmp_path, monkeypatch):
+def test_threads_env_var_sets_workers_for_one_command(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, flow={"steps": 5, "sample_every": 5})
+    real_run_flow = plurisym.cli.run_flow
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(scipy.fft.get_workers())
+        return real_run_flow(*args, **kwargs)
+
+    monkeypatch.setattr(plurisym.cli, "run_flow", spy)
+    before = scipy.fft.get_workers()
     monkeypatch.setenv("PLURISYM_THREADS", "2")
-    try:
-        assert main(["flow", "--config", cfg, "--output",
-                     str(tmp_path / "w.csv")]) == 0
-        assert get_fft_workers() == 2
-    finally:
-        set_fft_workers(1)
+    assert main(["flow", "--config", cfg, "--output",
+                 str(tmp_path / "w.csv")]) == 0
+    assert seen == [2]
+    assert scipy.fft.get_workers() == before
 
 
 def test_threads_env_var_validation(capsys, monkeypatch):
+    before = scipy.fft.get_workers()
     monkeypatch.setenv("PLURISYM_THREADS", "zero")
     assert main(["obstruct", "1", "1", "1"]) == 3
     monkeypatch.setenv("PLURISYM_THREADS", "0")
     assert main(["obstruct", "1", "1", "1"]) == 3
     assert "PLURISYM_THREADS" in capsys.readouterr().err
+    assert scipy.fft.get_workers() == before
 
 
 def _distribution_installed(name: str) -> bool:

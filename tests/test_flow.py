@@ -271,6 +271,23 @@ def test_sample_abort_on_broken_constraint(grid, hs_state):
     assert info.value.residual > 1e-6
 
 
+def test_nan_in_omega_is_a_positivity_loss(grid, hs_state):
+    omega = Form(2, 1, 1, hs_state.omega.coeffs.copy())
+    omega.coeffs[0, 1][(3,) * 4] = np.nan
+    with pytest.raises(PositivityLostError) as info:
+        FlowState.make(grid, 0.0, omega, hs_state.phi)
+    assert np.isnan(info.value.margin)
+
+
+def test_nan_in_phi_aborts_as_constraint_violation(grid, hs_state):
+    phi = Form(2, 2, 0, hs_state.phi.coeffs.copy())
+    phi.coeffs[0, 0][(3,) * 4] = np.nan
+    broken = FlowState.make(grid, 0.0, hs_state.omega, phi)
+    with pytest.raises(ConstraintViolationError) as info:
+        run_flow(grid, broken, FlowConfig(dt=1e-4, steps=15, sample_every=5))
+    assert len(info.value.records) == 1
+
+
 def test_positivity_error_passes_through_with_records(grid, hs_state, monkeypatch):
     def explode(grid_, state, dt):
         raise PositivityLostError("synthetic stage failure", margin=-1.0)

@@ -191,8 +191,6 @@ def test_metric_positivity_failure():
     with pytest.raises(PositivityLostError) as info:
         HermitianMetric.from_matrix(g)
     assert info.value.margin == pytest.approx(-0.25)
-    m = HermitianMetric.from_matrix(g, require_positive=False)
-    assert m.margin == pytest.approx(-0.25)
 
 
 def test_metric_of_form_round_trip():
