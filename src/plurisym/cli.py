@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -25,8 +26,8 @@ import scipy.fft
 from .calculus import TorusGrid
 from .config import RunConfig, parse_config
 from .errors import ConfigError, ConstraintViolationError, PositivityLostError
-from .flow import FlowConfig, make_initial_hs, make_initial_kahler, run_flow
-from .verify import run_all_suites
+from .flow import make_initial_hs, make_initial_kahler, run_flow
+from .verify import DEFAULT_SEED, run_all_suites
 from .volume import (
     check_beta_pluriclosed,
     check_derivative_identities,
@@ -49,8 +50,6 @@ CSV_COLUMNS = (
     "pluriclosed_residual",
     "min_eig_margin",
 )
-
-VERIFY_DEFAULT_SEED = 20250819
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,23 +128,12 @@ def _initial_state(grid: TorusGrid, cfg: RunConfig):
     return make_initial_hs(grid, init.epsilon, init.seed, init.mode_cutoff)
 
 
-def _flow_config(cfg: RunConfig, collect_states: bool) -> FlowConfig:
-    return FlowConfig(
-        dt=cfg.flow.dt,
-        steps=cfg.flow.steps,
-        sample_every=cfg.flow.sample_every,
-        safety=cfg.flow.safety,
-        constraint_abort=cfg.tolerances.constraint_abort,
-        collect_states=collect_states,
-    )
-
-
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else VERIFY_DEFAULT_SEED
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
     fmt = args.format if args.format is not None else "csv"
     output = args.output
     if getattr(args, "config", None) is not None:
@@ -180,7 +168,7 @@ def cmd_flow(args) -> int:
     code = 0
     try:
         state = _initial_state(grid, cfg)
-        records = run_flow(grid, state, _flow_config(cfg, False)).records
+        records = run_flow(grid, state, cfg.flow).records
     except PositivityLostError as err:
         records = err.records
         code = 2
@@ -200,15 +188,8 @@ def cmd_flow(args) -> int:
 def cmd_volume(args) -> int:
     cfg = _load_config(args)
     grid = TorusGrid(cfg.dimension, cfg.grid)
-    try:
-        state = _initial_state(grid, cfg)
-        result = run_flow(grid, state, _flow_config(cfg, True))
-    except PositivityLostError as err:
-        print(f"positivity lost: {err}", file=sys.stderr)
-        return 2
-    except ConstraintViolationError as err:
-        print(f"constraint violation: {err}", file=sys.stderr)
-        return 4
+    state = _initial_state(grid, cfg)
+    result = run_flow(grid, state, replace(cfg.flow, collect_states=True))
 
     n, tol = cfg.dimension, cfg.tolerances
     ts = np.array([rec["t"] for rec in result.records])

@@ -30,6 +30,7 @@ from .calculus import (
     random_band_limited,
     residual_norms,
 )
+from .config import FlowConfig, InitialSettings
 from .errors import ConfigError, ConstraintViolationError, PositivityLostError
 from .forms import (
     Form,
@@ -119,32 +120,6 @@ class FlowState:
                     f"got n={f.n}, payload {f.payload}"
                 )
         return cls(float(t), omega, phi, metric_of_form(omega))
-
-
-@dataclass
-class FlowConfig:
-    """Integrator parameters; validation happens on construction."""
-
-    dt: float = 1e-4
-    steps: int = 2000
-    sample_every: int = 5
-    safety: float = 0.25
-    constraint_abort: float = 1e-3
-    collect_states: bool = False
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError(f"flow.dt must be positive, got {self.dt}")
-        if self.steps < 0:
-            raise ConfigError(f"flow.steps must be nonnegative, got {self.steps}")
-        if self.sample_every < 1:
-            raise ConfigError(f"flow.sample_every must be at least 1, got {self.sample_every}")
-        if not 0 < self.safety <= 1:
-            raise ConfigError(f"flow.safety must lie in (0, 1], got {self.safety}")
-        if not self.constraint_abort > 0:
-            raise ConfigError(
-                f"tolerances.constraint_abort must be positive, got {self.constraint_abort}"
-            )
 
 
 @dataclass
@@ -275,8 +250,7 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
                      end.metric, end)
 
 
-def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric,
-                       safety: float = 0.25) -> float:
+def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric, safety: float) -> float:
     """Step-size guideline safety * h^2 * (eigenvalue margin / largest eigenvalue).
 
     Advisory only: run_flow warns when exceeded but still integrates, so that
@@ -290,8 +264,9 @@ def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric,
 # initial data
 # ----------------------------------------------------------------------
 
-def make_initial_hs(grid: TorusGrid, epsilon: float = 0.05, seed: int = 42,
-                    mode_cutoff: int = 2) -> FlowState:
+def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
+                    seed: int = InitialSettings.seed,
+                    mode_cutoff: int = InitialSettings.mode_cutoff) -> FlowState:
     """Closed random initial data: flat form plus d of a band-limited real 1-form.
 
     A complex (1,0)-form zeta with modes up to ``mode_cutoff`` is drawn from
@@ -323,8 +298,9 @@ def make_initial_hs(grid: TorusGrid, epsilon: float = 0.05, seed: int = 42,
     return FlowState.make(grid, 0.0, omega, phi)
 
 
-def make_initial_kahler(grid: TorusGrid, epsilon: float = 0.05, seed: int = 42,
-                        mode_cutoff: int = 2) -> FlowState:
+def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
+                        seed: int = InitialSettings.seed,
+                        mode_cutoff: int = InitialSettings.mode_cutoff) -> FlowState:
     """Closed initial data with phi = 0: flat form plus a potential perturbation.
 
     omega = flat + scaled i*del(dbar(u)) for a band-limited real potential u,

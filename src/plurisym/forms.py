@@ -288,15 +288,11 @@ def _swap_conj(g: np.ndarray) -> np.ndarray:
 
 
 def _matrix_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
-    """Determinant and inverse of an (n,n,*payload) matrix stack, closed form for n<=3.
+    """Determinant and inverse of an (n,n,*payload) matrix stack, closed form for n=2, 3.
 
     ``hermitian`` promises g == g^H exactly; for n=2 the real determinant and
     the inverse are then read off the real diagonal and the upper entry.
     """
-    if n == 1:
-        det = g[0, 0]
-        ginv = 1.0 / g
-        return det, ginv
     if n == 2 and hermitian:
         a, d, b = g[0, 0].real, g[1, 1].real, g[0, 1]
         det = a * d - (b.real * b.real + b.imag * b.imag)
@@ -339,16 +335,19 @@ def _matrix_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
 
 
 def _eig_range(g: np.ndarray, n: int):
-    """(global min, global max) eigenvalue of a Hermitian (n,n,*payload) stack."""
-    if n == 1:
-        vals = g[0, 0].real
-        return float(np.min(vals)), float(np.max(vals))
+    """(global min, global max) eigenvalue of a Hermitian (n,n,*payload) stack.
+
+    Both are nan when the stack holds a non-finite entry, which eigvalsh
+    would reject with LinAlgError.
+    """
     if n == 2:
         off = g[0, 1]
         mid = 0.5 * (g[0, 0].real + g[1, 1].real)
         rad = np.sqrt((0.5 * (g[0, 0].real - g[1, 1].real)) ** 2
                       + off.real ** 2 + off.imag ** 2)
         return float(np.min(mid - rad)), float(np.max(mid + rad))
+    if not np.isfinite(g).all():
+        return math.nan, math.nan
     herm = 0.5 * (g + _swap_conj(g))
     vals = np.linalg.eigvalsh(np.moveaxis(herm, (0, 1), (-2, -1)))
     return float(np.min(vals)), float(np.max(vals))
@@ -364,7 +363,6 @@ class HermitianMetric:
     det: np.ndarray     # real, payload-shaped
     margin: float       # global smallest eigenvalue
     max_eig: float
-    hermiticity_defect: float
 
     @property
     def payload(self) -> Tuple[int, ...]:
@@ -375,10 +373,10 @@ class HermitianMetric:
                     herm_tol: Optional[float] = 1e-8) -> "HermitianMetric":
         """Build from the coefficient block g_{i jbar}.
 
-        ``herm_tol=None`` skips the Hermiticity scan (defect recorded as 0)
-        and relies on the Hermitian structure; only for callers that
-        guarantee g == g^H to the last bit, e.g. flow stages, whose lower
-        triangle is the conjugate of the upper one by construction.
+        ``herm_tol=None`` skips the Hermiticity scan and relies on the
+        Hermitian structure; only for callers that guarantee g == g^H to the
+        last bit, e.g. flow stages, whose lower triangle is the conjugate of
+        the upper one by construction.
         Raises PositivityLostError unless the smallest eigenvalue is
         positive, a NaN one included.
         """
@@ -386,9 +384,7 @@ class HermitianMetric:
         n = g.shape[0]
         if g.shape[:2] != (n, n):
             raise ValueError(f"metric block must be square, got {g.shape[:2]}")
-        if herm_tol is None:
-            defect = 0.0
-        else:
+        if herm_tol is not None:
             scale = float(np.max(np.abs(g))) or 1.0
             defect = float(np.max(np.abs(g - _swap_conj(g)))) / scale
             if defect > herm_tol:
@@ -399,7 +395,7 @@ class HermitianMetric:
                 f"metric lost positivity: smallest eigenvalue {lo:.6e}", margin=lo
             )
         det, ginv = _matrix_det_inv(g, n, hermitian=herm_tol is None)
-        return cls(n, g, ginv, det.real, lo, hi, defect)
+        return cls(n, g, ginv, det.real, lo, hi)
 
 
 def flat_metric(n: int, payload: Tuple[int, ...] = ()) -> HermitianMetric:

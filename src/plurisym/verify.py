@@ -48,9 +48,11 @@ __all__ = [
     "calculus_suite",
     "run_all_suites",
     "POINTWISE_SAMPLES",
+    "DEFAULT_SEED",
 ]
 
 POINTWISE_SAMPLES = 100
+DEFAULT_SEED = 20250819
 
 
 @dataclass
@@ -94,7 +96,7 @@ def _flat_norm(a: Form) -> float:
 # pointwise suites
 # ----------------------------------------------------------------------
 
-def pointwise_suite(seed: int = 20250819,
+def pointwise_suite(seed: int = DEFAULT_SEED,
                     samples: int = POINTWISE_SAMPLES,
                     sign_flip: bool = False) -> List[CheckResult]:
     """Pointwise exterior-algebra invariants over random (metric, form) draws.
@@ -174,7 +176,7 @@ def _grid_draws(grid: TorusGrid, rng: np.random.Generator, p: int, q: int,
     return out
 
 
-def calculus_suite(seed: int = 20250819) -> List[CheckResult]:
+def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Spectral-calculus invariants on the standard desk-scale grids.
 
     Covers nilpotency of the derivatives, Stokes on the torus, adjointness of
@@ -274,6 +276,6 @@ def calculus_suite(seed: int = 20250819) -> List[CheckResult]:
     return results
 
 
-def run_all_suites(seed: int = 20250819) -> List[CheckResult]:
+def run_all_suites(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """All invariant suites in report order."""
     return pointwise_suite(seed) + calculus_suite(seed)

@@ -27,6 +27,7 @@ from .calculus import (
     integrate,
     l2_norm,
 )
+from .config import Tolerances
 from .forms import (
     Form,
     HermitianMetric,
@@ -201,7 +202,7 @@ def _rate_floor(series: np.ndarray, horizon: float, ambient: float) -> float:
 
 
 def check_derivative_identities(grid: TorusGrid, states: Sequence,
-                                resolution_guard: float = 0.005) -> dict:
+                                resolution_guard: float = Tolerances.resolution_guard) -> dict:
     """Compare centered-difference time derivatives with their integral formulas.
 
     ``states`` are evenly spaced trajectory snapshots carrying .t, .omega and

@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.fft
 
 import plurisym.cli
 import plurisym.verify
 from plurisym.cli import CSV_COLUMNS, main
+from plurisym.flow import FlowState
 
 FROZEN_HEADER = ("t,V,F,d_omega_residual,hs_constraint_residual,"
                  "del_phi_residual,pluriclosed_residual,min_eig_margin")
@@ -106,6 +108,38 @@ def test_flow_initial_positivity_loss_exits_2(tmp_path, capsys):
     assert main(["flow", "--config", cfg, "--output", str(out)]) == 2
     assert out.read_text(encoding="utf-8").splitlines() == [FROZEN_HEADER]
     assert "positivity lost" in capsys.readouterr().err
+
+
+def test_volume_initial_positivity_loss_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, initial={"epsilon": 0.999, "mode_cutoff": 1})
+    assert main(["volume", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positivity lost" in captured.err
+
+
+@pytest.mark.parametrize(
+    "dimension, name, code, message",
+    [(3, "omega", 2, "positivity lost"), (2, "phi", 4, "constraint violation")],
+    ids=["n3-omega", "n2-phi"],
+)
+def test_flow_non_finite_initial_state_exits_nonzero(tmp_path, capsys, monkeypatch,
+                                                     dimension, name, code, message):
+    make_initial_hs = plurisym.cli.make_initial_hs
+
+    def with_nan(grid, *args):
+        st = make_initial_hs(grid, *args)
+        coeffs = getattr(st, name).coeffs
+        coeffs[(0,) * coeffs.ndim] = np.nan
+        return FlowState.make(grid, 0.0, st.omega, st.phi)
+
+    monkeypatch.setattr(plurisym.cli, "make_initial_hs", with_nan)
+    cfg = write_config(tmp_path, dimension=dimension, grid=4,
+                       flow={"steps": 2, "sample_every": 1})
+    out = tmp_path / "nan.csv"
+    assert main(["flow", "--config", cfg, "--output", str(out)]) == code
+    assert out.read_text(encoding="utf-8").splitlines()[0] == FROZEN_HEADER
+    assert message in capsys.readouterr().err
 
 
 def test_flow_json_series_is_valid(tmp_path, capsys):

@@ -1,9 +1,70 @@
 """Strict-schema tests for the JSON run configuration."""
 
+import json
+
 import pytest
 
 from plurisym.config import DEFAULT_GRID, parse_config
 from plurisym.errors import ConfigError
+from plurisym.flow import FlowConfig
+
+# every numeric key: (message path, range as printed, a value below it, a
+# value above it, integer?); mode_cutoff's range is that of the default grid 16
+NUMERIC_KEYS = [
+    ("grid", "[4, 64]", 3, 65, True),
+    ("initial.epsilon", "[0.0, 0.999]", -0.1, 1.0, False),
+    ("initial.seed", "[0, 18446744073709551615]", -1, 2 ** 64, True),
+    ("initial.mode_cutoff", "[1, 5]", 0, 6, True),
+    ("flow.dt", "[1e-12, 1.0]", 0.0, 2.0, False),
+    ("flow.steps", "[0, 10000000]", -1, 10 ** 7 + 1, True),
+    ("flow.sample_every", "[1, 1000000]", 0, 10 ** 6 + 1, True),
+    ("flow.safety", "[1e-06, 1.0]", 1e-7, 1.5, False),
+    ("tolerances.constraint_abort", "[1e-16, 1000000.0]", 0.0, 1e7, False),
+    ("tolerances.beta_residual", "[1e-16, 1.0]", 0.0, 2.0, False),
+    ("tolerances.identity_rel", "[1e-16, 1.0]", 0.0, 2.0, False),
+    ("tolerances.resolution_guard", "[1e-16, 1.0]", 0.0, 2.0, False),
+    ("tolerances.fit_residual", "[1e-16, 1.0]", 0.0, 2.0, False),
+    ("tolerances.a0_rel", "[1e-16, 1.0]", 0.0, 2.0, False),
+    ("tolerances.a1_rel", "[1e-16, 1.0]", 0.0, 2.0, False),
+    ("tolerances.a2_rel", "[1e-16, 1.0]", 0.0, 2.0, False),
+]
+
+
+def rejected_values(path, bounds, below, above, integral):
+    """(value, full error message) pairs for every kind of bad value of a key."""
+    cases = [
+        (below, f"{path} must lie in {bounds}, got {below}"),
+        (above, f"{path} must lie in {bounds}, got {above}"),
+        (True, f"{path} must be a number, got True"),
+    ]
+    if integral:
+        cases.append((2.5, f"{path} must be an integer, got 2.5"))
+    return cases
+
+
+@pytest.mark.parametrize("row", NUMERIC_KEYS, ids=[row[0] for row in NUMERIC_KEYS])
+def test_numeric_key_messages_are_frozen(row):
+    path = row[0]
+    for value, message in rejected_values(*row):
+        raw = {"dimension": 2}
+        *section, key = path.split(".")
+        (raw.setdefault(section[0], {}) if section else raw)[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(raw))
+        assert str(info.value) == message
+
+
+FLOW_KEYS = [row for row in NUMERIC_KEYS
+             if row[0].startswith("flow.") or row[0] == "tolerances.constraint_abort"]
+
+
+@pytest.mark.parametrize("row", FLOW_KEYS, ids=[row[0] for row in FLOW_KEYS])
+def test_flowconfig_rejects_what_the_schema_rejects(row):
+    name = row[0].split(".")[1]
+    for value, message in rejected_values(*row):
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(**{name: value})
+        assert str(info.value) == message
 
 
 def test_minimal_config_fills_every_default():
@@ -18,7 +79,7 @@ def test_minimal_config_fills_every_default():
     assert cfg.flow.steps == 2000
     assert cfg.flow.sample_every == 5
     assert cfg.flow.safety == 0.25
-    assert cfg.tolerances.constraint_abort == 1e-3
+    assert cfg.flow.constraint_abort == 1e-3
     assert cfg.output is None
     assert cfg.format == "csv"
 
@@ -117,7 +178,7 @@ def test_tolerances_round_trip():
         '{"dimension": 2, "tolerances": {"constraint_abort": 1e-2,'
         ' "identity_rel": 1e-3, "resolution_guard": 0.01}}'
     )
-    assert cfg.tolerances.constraint_abort == 1e-2
+    assert cfg.flow.constraint_abort == 1e-2
     assert cfg.tolerances.identity_rel == 1e-3
     assert cfg.tolerances.resolution_guard == 0.01
     # untouched fields keep their defaults

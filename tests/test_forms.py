@@ -193,6 +193,16 @@ def test_metric_positivity_failure():
     assert info.value.margin == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_metric_non_finite_entry_is_a_positivity_loss(bad):
+    # n=3 takes the eigvalsh route, which raises LinAlgError on such a stack
+    g = np.broadcast_to(np.eye(3, dtype=np.complex128)[:, :, None], (3, 3, 4)).copy()
+    g[1, 1, 1] = bad
+    with pytest.raises(PositivityLostError) as info:
+        HermitianMetric.from_matrix(g)
+    assert math.isnan(info.value.margin)
+
+
 def test_metric_of_form_round_trip():
     rng = np.random.default_rng(29)
     g = random_hermitian_positive(rng, 3)
