@@ -124,7 +124,7 @@ def _initial_state(grid: TorusGrid, cfg: RunConfig):
     init = cfg.initial
     if init.type == "flat_kahler":
         # exactly flat fixed point; epsilon/seed/mode_cutoff shape perturbed_flat only
-        return make_initial_kahler(grid, epsilon=0.0)
+        return make_initial_kahler(grid, epsilon=0.0, mode_cutoff=init.mode_cutoff)
     return make_initial_hs(grid, init.epsilon, init.seed, init.mode_cutoff)
 
 

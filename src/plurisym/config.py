@@ -27,6 +27,7 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "DEFAULT_GRID",
+    "check_mode_cutoff",
 ]
 
 DEFAULT_GRID = {2: 16, 3: 8}
@@ -53,6 +54,11 @@ def _number(val, path: str, lo, hi, integral: bool = False):
     return int(val) if integral else float(val)
 
 
+def check_mode_cutoff(value, points: int) -> int:
+    """Check initial.mode_cutoff against the dealias band ``points // 3`` of the grid."""
+    return _number(value, "initial.mode_cutoff", 1, points // 3, integral=True)
+
+
 def _check(section, prefix: str) -> None:
     """Check and convert every declared setting of a section, in field order."""
     for f in fields(section):
@@ -70,7 +76,7 @@ class InitialSettings:
     ``flat_kahler`` starts from the exactly flat torus state (a fixed point
     of the flow); epsilon, seed and mode_cutoff only shape ``perturbed_flat``
     data.  The range of mode_cutoff is the dealias band of the grid, so
-    parse_config checks it.
+    ``check_mode_cutoff`` checks it where the grid is known.
     """
 
     type: str = "perturbed_flat"
@@ -174,8 +180,7 @@ def parse_config(text: str) -> RunConfig:
     band = cfg.grid // 3   # the one range that depends on another setting
     mode_cutoff = sec.pop("mode_cutoff", min(InitialSettings.mode_cutoff, band))
     cfg.initial = InitialSettings(**sec)
-    cfg.initial.mode_cutoff = _number(mode_cutoff, "initial.mode_cutoff", 1, band,
-                                      integral=True)
+    cfg.initial.mode_cutoff = check_mode_cutoff(mode_cutoff, cfg.grid)
 
     sec = _section(raw, "flow")
     _reject_unknown(sec, ["dt", "steps", "sample_every", "safety"], "flow")

@@ -12,8 +12,10 @@ class ConfigError(ValueError):
 class PositivityLostError(RuntimeError):
     """The (1,1) part of the evolving structure stopped being a metric.
 
-    Carries the time and margin at which the smallest eigenvalue of the
-    candidate metric crossed zero, plus any diagnostics collected so far.
+    Raised when a candidate metric fails Sylvester's criterion (some leading
+    principal minor is not > 0 at some point) or holds a non-finite entry.
+    Carries the time, the margin (the candidate's smallest eigenvalue, nan
+    for a non-finite one), plus any diagnostics collected so far.
     """
 
     def __init__(self, message, t=None, margin=None, records=None):

@@ -30,7 +30,7 @@ from .calculus import (
     random_band_limited,
     residual_norms,
 )
-from .config import FlowConfig, InitialSettings
+from .config import FlowConfig, InitialSettings, check_mode_cutoff
 from .errors import ConfigError, ConstraintViolationError, PositivityLostError
 from .forms import (
     Form,
@@ -223,10 +223,10 @@ def _state_stage(grid: TorusGrid, state: FlowState) -> _Stage:
 def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     """One classical RK4 step of the coupled system.
 
-    Positivity is enforced at every stage through the metric construction;
-    a failure raises PositivityLostError and leaves the caller holding the
-    last valid state.  The end-of-step metric is the next step's first-stage
-    metric.
+    Positivity is enforced at every stage through the metric construction
+    (Sylvester's criterion, no eigenvalues); a failure raises
+    PositivityLostError and leaves the caller holding the last valid state.
+    The end-of-step metric is the next step's first-stage metric.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -254,7 +254,8 @@ def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric, safety: float) 
     """Step-size guideline safety * h^2 * (eigenvalue margin / largest eigenvalue).
 
     Advisory only: run_flow warns when exceeded but still integrates, so that
-    deliberately unstable runs reach the abort machinery.
+    deliberately unstable runs reach the abort machinery.  Reads the metric's
+    eigenvalue range, which the metric computes on first read.
     """
     h = 1.0 / grid.points
     return safety * h * h * metric.margin / metric.max_eig
@@ -274,12 +275,14 @@ def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
     its (2,0) part (phi) and its (1,1) part (added to the flat omega), then
     scaled so the largest coefficient has magnitude ``epsilon``.  The total is
     exactly d-closed by construction, and epsilon = 0 gives the flat state.
+    ``mode_cutoff`` must lie in the dealias band [1, points // 3].
 
     Raises PositivityLostError when epsilon is large enough to destroy
     positivity of omega.
     """
     if epsilon < 0:
         raise ConfigError(f"initial.epsilon must be nonnegative, got {epsilon}")
+    check_mode_cutoff(mode_cutoff, grid.points)
     n = grid.n
     rng = np.random.default_rng(seed)
     zeta = Form.zeros(n, 1, 0, grid.shape)
@@ -309,6 +312,7 @@ def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilo
     """
     if epsilon < 0:
         raise ConfigError(f"initial.epsilon must be nonnegative, got {epsilon}")
+    check_mode_cutoff(mode_cutoff, grid.points)
     n = grid.n
     rng = np.random.default_rng(seed)
     u = random_band_limited(grid, rng, mode_cutoff)
@@ -327,7 +331,11 @@ def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilo
 # ----------------------------------------------------------------------
 
 def diagnostics_record(grid: TorusGrid, state: FlowState) -> dict:
-    """One monitoring record: time, volume, self-pairing, residuals, margin."""
+    """One monitoring record: time, volume, self-pairing, residuals, margin.
+
+    The margin is the smallest eigenvalue of the state's metric; this is where
+    a sampled metric computes its eigenvalue range, which stage metrics never do.
+    """
     res = residual_norms(grid, state.omega, state.phi)
     return {
         "t": state.t,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Optional, Tuple
 
@@ -287,8 +287,20 @@ def _swap_conj(g: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(g, 0, 1))
 
 
-def _matrix_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
-    """Determinant and inverse of an (n,n,*payload) matrix stack, closed form for n=2, 3.
+def _positive(*minors) -> bool:
+    """True when every entry of every minor has a real part > 0 (NaN fails)."""
+    return all(bool(np.all(np.real(m) > 0.0)) for m in minors)
+
+
+def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
+    """Determinant and inverse of an (n,n,*payload) stack, or None unless positive definite.
+
+    Positivity is Sylvester's criterion: every leading principal minor is
+    > 0 at every point.  For n=2 the minors are g00 and det; for n=3, g00,
+    the adjugate's (2,2) cofactor and det, all from the closed-form inverse;
+    beyond that ``np.linalg.det`` of the leading blocks.  They are checked
+    before anything divides by det, so a singular or indefinite block returns
+    None without a floating-point warning.
 
     ``hermitian`` promises g == g^H exactly; for n=2 the real determinant and
     the inverse are then read off the real diagonal and the upper entry.
@@ -296,6 +308,8 @@ def _matrix_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     if n == 2 and hermitian:
         a, d, b = g[0, 0].real, g[1, 1].real, g[0, 1]
         det = a * d - (b.real * b.real + b.imag * b.imag)
+        if not _positive(a, det):
+            return None
         inv_det = 1.0 / det
         ginv = np.empty_like(g)
         ginv[0, 0] = d * inv_det
@@ -305,6 +319,8 @@ def _matrix_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         return det, ginv
     if n == 2:
         det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        if not _positive(g[0, 0], det):
+            return None
         inv_det = 1.0 / det
         ginv = np.empty_like(g)
         ginv[0, 0] = g[1, 1] * inv_det
@@ -317,6 +333,9 @@ def _matrix_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         c01 = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
         c02 = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
         det = g[0, 0] * c00 + g[0, 1] * c01 + g[0, 2] * c02
+        lead2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        if not _positive(g[0, 0], lead2, det):
+            return None
         adj = np.empty_like(g)
         adj[0, 0] = c00
         adj[1, 0] = c01
@@ -326,47 +345,66 @@ def _matrix_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         adj[2, 1] = g[0, 1] * g[2, 0] - g[0, 0] * g[2, 1]
         adj[0, 2] = g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]
         adj[1, 2] = g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]
-        adj[2, 2] = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        adj[2, 2] = lead2
         return det, adj / det
     stacked = np.moveaxis(g, (0, 1), (-2, -1))
     det = np.linalg.det(stacked)
+    if not _positive(*(np.linalg.det(stacked[..., :k, :k]) for k in range(1, n)), det):
+        return None
     ginv = np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
     return det, ginv
 
 
 def _eig_range(g: np.ndarray, n: int):
-    """(global min, global max) eigenvalue of a Hermitian (n,n,*payload) stack.
-
-    Both are nan when the stack holds a non-finite entry, which eigvalsh
-    would reject with LinAlgError.
-    """
+    """(global min, global max) eigenvalue of a finite Hermitian (n,n,*payload) stack."""
     if n == 2:
         off = g[0, 1]
         mid = 0.5 * (g[0, 0].real + g[1, 1].real)
         rad = np.sqrt((0.5 * (g[0, 0].real - g[1, 1].real)) ** 2
                       + off.real ** 2 + off.imag ** 2)
         return float(np.min(mid - rad)), float(np.max(mid + rad))
-    if not np.isfinite(g).all():
-        return math.nan, math.nan
     herm = 0.5 * (g + _swap_conj(g))
     vals = np.linalg.eigvalsh(np.moveaxis(herm, (0, 1), (-2, -1)))
     return float(np.min(vals)), float(np.max(vals))
 
 
+def _positivity_lost(margin: float) -> PositivityLostError:
+    return PositivityLostError(
+        f"metric lost positivity: smallest eigenvalue {margin:.6e}", margin=margin
+    )
+
+
 @dataclass(eq=False, repr=False)
 class HermitianMetric:
-    """Validated Hermitian metric with cached inverse, determinant, and eigen range."""
+    """Validated positive Hermitian metric with its inverse and determinant.
+
+    The eigenvalue range (``margin``, ``max_eig``) is not needed to validate
+    the metric; it is computed on first read and cached.
+    """
 
     n: int
     g: np.ndarray       # (n, n, *payload)
     ginv: np.ndarray
     det: np.ndarray     # real, payload-shaped
-    margin: float       # global smallest eigenvalue
-    max_eig: float
 
     @property
     def payload(self) -> Tuple[int, ...]:
         return self.g.shape[2:]
+
+    @cached_property
+    def eig_range(self) -> Tuple[float, float]:
+        """(smallest, largest) eigenvalue over all points."""
+        return _eig_range(self.g, self.n)
+
+    @property
+    def margin(self) -> float:
+        """Global smallest eigenvalue."""
+        return self.eig_range[0]
+
+    @property
+    def max_eig(self) -> float:
+        """Global largest eigenvalue."""
+        return self.eig_range[1]
 
     @classmethod
     def from_matrix(cls, g: np.ndarray,
@@ -377,25 +415,26 @@ class HermitianMetric:
         Hermitian structure; only for callers that guarantee g == g^H to the
         last bit, e.g. flow stages, whose lower triangle is the conjugate of
         the upper one by construction.
-        Raises PositivityLostError unless the smallest eigenvalue is
-        positive, a NaN one included.
+        Raises PositivityLostError, carrying the smallest eigenvalue as its
+        margin, when g is not positive definite at every point by Sylvester's
+        criterion, and with margin nan when g holds a non-finite entry.
         """
         g = np.asarray(g, dtype=np.complex128)
         n = g.shape[0]
         if g.shape[:2] != (n, n):
             raise ValueError(f"metric block must be square, got {g.shape[:2]}")
+        if not np.isfinite(g).all():
+            raise _positivity_lost(math.nan)
         if herm_tol is not None:
             scale = float(np.max(np.abs(g))) or 1.0
             defect = float(np.max(np.abs(g - _swap_conj(g)))) / scale
             if defect > herm_tol:
                 raise ValueError(f"metric is not Hermitian: defect {defect:.3e} > {herm_tol:.1e}")
-        lo, hi = _eig_range(g, n)
-        if not lo > 0.0:
-            raise PositivityLostError(
-                f"metric lost positivity: smallest eigenvalue {lo:.6e}", margin=lo
-            )
-        det, ginv = _matrix_det_inv(g, n, hermitian=herm_tol is None)
-        return cls(n, g, ginv, det.real, lo, hi)
+        det_inv = _positive_det_inv(g, n, hermitian=herm_tol is None)
+        if det_inv is None:
+            raise _positivity_lost(_eig_range(g, n)[0])
+        det, ginv = det_inv
+        return cls(n, g, ginv, det.real)
 
 
 def flat_metric(n: int, payload: Tuple[int, ...] = ()) -> HermitianMetric:

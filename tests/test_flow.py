@@ -1,5 +1,7 @@
 """Tests for right-hand sides, the RK4 stepper, initial data, and run_flow."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from plurisym.calculus import (
 )
 from plurisym.errors import ConfigError, ConstraintViolationError, PositivityLostError
 import plurisym.flow as flow_mod
+import plurisym.forms as forms_mod
 from plurisym.flow import (
     FlowConfig,
     FlowState,
@@ -195,6 +198,16 @@ def test_initial_hs_rejects_bad_epsilon(grid):
         make_initial_hs(grid, epsilon=5.0, seed=42, mode_cutoff=1)
 
 
+@pytest.mark.parametrize("make", [make_initial_hs, make_initial_kahler],
+                         ids=["hs", "kahler"])
+@pytest.mark.parametrize("cutoff", [0, 3, 9])
+def test_initial_data_rejects_mode_cutoff_outside_the_band(grid, make, cutoff):
+    # N=8: the dealias band is 8 // 3 = 2
+    msg = f"initial.mode_cutoff must lie in [1, 2], got {cutoff}"
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        make(grid, epsilon=0.05, seed=42, mode_cutoff=cutoff)
+
+
 def test_initial_kahler_shape(grid):
     st = make_initial_kahler(grid, epsilon=0.05, seed=4, mode_cutoff=1)
     assert not np.any(st.phi.coeffs)
@@ -304,6 +317,45 @@ def test_dt_guideline_value(grid, hs_state):
     bound = parabolic_dt_bound(grid, hs_state.metric, safety=0.25)
     expected = 0.25 * (1 / 8) ** 2 * hs_state.metric.margin / hs_state.metric.max_eig
     assert bound == pytest.approx(expected, rel=1e-12)
+
+
+def count_eig_range(monkeypatch):
+    """Route forms._eig_range through a wrapper that logs each result."""
+    calls = []
+    real = forms_mod._eig_range
+
+    def counted(g, n):
+        calls.append(real(g, n))
+        return calls[-1]
+
+    monkeypatch.setattr(forms_mod, "_eig_range", counted)
+    return calls
+
+
+def test_stage_metrics_compute_no_eigenvalues(monkeypatch):
+    grid3 = TorusGrid(3, 4)
+    st = make_initial_hs(grid3, epsilon=0.05, seed=42, mode_cutoff=1)
+    calls = count_eig_range(monkeypatch)
+    out = step_rk4(grid3, st, 1e-4)
+    assert calls == []
+    assert out.metric.margin > 0.0
+    assert len(calls) == 1
+
+
+def test_run_flow_computes_eigenvalues_once_per_sample(grid, monkeypatch):
+    st = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=1)
+    calls = count_eig_range(monkeypatch)
+    out = run_flow(grid, st, FlowConfig(dt=1e-4, steps=7, sample_every=3))
+    # samples at steps 0, 3, 6, 7; the initial one also serves the dt guideline
+    assert len(out.records) == 4
+    assert [rec["min_eig_margin"] for rec in out.records] == [lo for lo, _ in calls]
+
+
+def test_margin_and_dt_bound_read_the_eigenvalue_range_bitwise(grid):
+    st = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=1)
+    lo, hi = forms_mod._eig_range(st.metric.g, grid.n)
+    assert diagnostics_record(grid, st)["min_eig_margin"] == lo
+    assert parabolic_dt_bound(grid, st.metric, 0.25) == 0.25 * (1 / 8) * (1 / 8) * lo / hi
 
 
 def test_diagnostics_record_keys(grid, hs_state):

@@ -1,12 +1,14 @@
 """Pointwise exterior algebra: wedge, conjugation, metric pairings, star, trace."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from plurisym.errors import PositivityLostError
 from plurisym.forms import (
+    _eig_range,
     Form,
     HermitianMetric,
     conjugate,
@@ -195,12 +197,46 @@ def test_metric_positivity_failure():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_metric_non_finite_entry_is_a_positivity_loss(bad):
-    # n=3 takes the eigvalsh route, which raises LinAlgError on such a stack
+    # caught before the minors or eigvalsh (LinAlgError on such a stack) see it
     g = np.broadcast_to(np.eye(3, dtype=np.complex128)[:, :, None], (3, 3, 4)).copy()
     g[1, 1, 1] = bad
     with pytest.raises(PositivityLostError) as info:
         HermitianMetric.from_matrix(g)
     assert math.isnan(info.value.margin)
+
+
+@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@pytest.mark.parametrize("diag", [(1.0, 0.0), (1.0, 1.0, 0.0)], ids=["n2", "n3"])
+def test_singular_metric_raises_without_warning(diag, herm_tol):
+    # the minors are checked before anything divides by det
+    g = np.diag(np.array(diag, dtype=np.complex128))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityLostError) as info:
+            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+    assert info.value.margin == 0.0
+
+
+@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@pytest.mark.parametrize("bad", [
+    (-1.0, -1.0),             # g00 fails; det > 0
+    (1.0, -1.0, -1.0),        # the 2x2 leading minor fails; det > 0
+    (1.0, 1.0, -1.0),         # only det fails
+    (1.0, 1.0, -1.0, -1.0),   # the 3x3 leading minor fails; det > 0
+], ids=["n2-g00", "n3-minor2", "n3-det", "n4-minor3"])
+def test_indefinite_point_trips_the_minor_guard(bad, herm_tol):
+    # one indefinite point in an otherwise positive stack; the margin is the
+    # stack's smallest eigenvalue, exactly as the eigenvalue range reads it
+    n = len(bad)
+    rng = np.random.default_rng(31)
+    g = np.empty((n, n, 5), dtype=np.complex128)
+    for k in range(5):
+        g[:, :, k] = random_hermitian_positive(rng, n)
+    g[:, :, 3] = np.diag(bad)
+    with pytest.raises(PositivityLostError) as info:
+        HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+    assert info.value.margin == _eig_range(g, n)[0]
+    assert info.value.margin == -1.0
 
 
 def test_metric_of_form_round_trip():
