@@ -319,6 +319,25 @@ class TorusGrid:
         hat = self.derivative_hat(self.fft(a.coeffs), a.p, a.q, anti=True)
         return Form(self.n, a.p, a.q + 1, self.ifft(hat))
 
+    def derivatives(self, a: Form) -> tuple[Form, Form]:
+        """(del a, dbar a) from one forward transform of a field.
+
+        Bitwise equal to ``(del_form(a), dbar_form(a))``.  A part whose degree
+        would exceed n is the empty zero form, and a field with neither part
+        is not transformed at all.
+        """
+        self._check_field(a)
+        n = self.n
+        hat = self.fft(a.coeffs) if a.p < n or a.q < n else None
+        parts = []
+        for anti, (p, q) in ((False, (a.p + 1, a.q)), (True, (a.p, a.q + 1))):
+            if max(p, q) > n:
+                parts.append(Form.zeros(n, p, q, self.shape))
+            else:
+                parts.append(Form(n, p, q, self.ifft(
+                    self.derivative_hat(hat, a.p, a.q, anti=anti))))
+        return tuple(parts)
+
     def truncate(self, a: Form) -> Form:
         """Project a field onto the resolved band."""
         self._check_field(a)

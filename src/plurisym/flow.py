@@ -31,7 +31,7 @@ from .calculus import (
     residual_norms,
 )
 from .config import FlowConfig, InitialSettings, check_mode_cutoff
-from .errors import ConfigError, ConstraintViolationError, PositivityLostError
+from .errors import ConstraintViolationError, PositivityLostError
 from .forms import (
     Form,
     HermitianMetric,
@@ -275,21 +275,22 @@ def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
     its (2,0) part (phi) and its (1,1) part (added to the flat omega), then
     scaled so the largest coefficient has magnitude ``epsilon``.  The total is
     exactly d-closed by construction, and epsilon = 0 gives the flat state.
-    ``mode_cutoff`` must lie in the dealias band [1, points // 3].
+    The arguments must lie in the ranges of ``InitialSettings``, and
+    ``mode_cutoff`` in the dealias band [1, points // 3]; ConfigError names
+    the one that does not.
 
     Raises PositivityLostError when epsilon is large enough to destroy
     positivity of omega.
     """
-    if epsilon < 0:
-        raise ConfigError(f"initial.epsilon must be nonnegative, got {epsilon}")
+    InitialSettings(epsilon=epsilon, seed=seed, mode_cutoff=mode_cutoff)
     check_mode_cutoff(mode_cutoff, grid.points)
     n = grid.n
     rng = np.random.default_rng(seed)
     zeta = Form.zeros(n, 1, 0, grid.shape)
     for i in range(n):
         zeta.coeffs[i, 0] = random_band_limited(grid, rng, mode_cutoff, real=False)
-    phi_raw = grid.del_form(zeta)                      # (2,0) part of d(zeta+conj)
-    mixed = grid.dbar_form(zeta)
+    # phi_raw is the (2,0) part of d(zeta + conj(zeta))
+    phi_raw, mixed = grid.derivatives(zeta)
     omega_raw = mixed + conjugate(mixed)               # (1,1) part, exactly real
     amp = max(
         float(np.max(np.abs(phi_raw.coeffs))) if phi_raw.coeffs.size else 0.0,
@@ -308,10 +309,10 @@ def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilo
 
     omega = flat + scaled i*del(dbar(u)) for a band-limited real potential u,
     symmetrized so the coefficients are Hermitian to the last bit.  States of
-    this shape keep phi identically zero along the flow.
+    this shape keep phi identically zero along the flow.  The arguments are
+    checked as in ``make_initial_hs``.
     """
-    if epsilon < 0:
-        raise ConfigError(f"initial.epsilon must be nonnegative, got {epsilon}")
+    InitialSettings(epsilon=epsilon, seed=seed, mode_cutoff=mode_cutoff)
     check_mode_cutoff(mode_cutoff, grid.points)
     n = grid.n
     rng = np.random.default_rng(seed)

@@ -145,9 +145,10 @@ def _validate_psi(grid: TorusGrid, psi: Form, s: int, tol: float = 1e-10):
     field = psi if psi.payload == grid.shape else None
     if field is None:
         raise ValueError(f"test form payload {psi.payload} does not match the grid")
-    if l2_norm(grid, grid.del_form(field)) > tol * scale:
+    del_field, dbar_field = grid.derivatives(field)
+    if l2_norm(grid, del_field) > tol * scale:
         raise ValueError("test form is not del-closed")
-    if l2_norm(grid, grid.dbar_form(field)) > tol * scale:
+    if l2_norm(grid, dbar_field) > tol * scale:
         raise ValueError("test form is not dbar-closed")
 
 

@@ -82,6 +82,30 @@ def test_derivative_of_coordinate_waves():
     assert np.allclose(grid.dbar_form(fy).coeffs[0, 0], -np.pi * basey, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n, points, p, q",
+    [(n, points, p, q) for n, points in ((2, 8), (3, 4))
+     for p in range(n + 1) for q in range(n + 1)],
+)
+def test_derivatives_match_del_and_dbar_bitwise(monkeypatch, n, points, p, q):
+    grid = TorusGrid(n, points)
+    a = random_field(grid, np.random.default_rng(10 * p + q), p, q)
+    forward = []
+    real_fft = TorusGrid.fft
+
+    def counted(self, arr):
+        forward.append(arr.shape)
+        return real_fft(self, arr)
+
+    monkeypatch.setattr(TorusGrid, "fft", counted)
+    da, ba = grid.derivatives(a)
+    # one forward transform, and none when both parts are empty
+    assert len(forward) == (0 if (p, q) == (n, n) else 1)
+    for got, want in ((da, grid.del_form(a)), (ba, grid.dbar_form(a))):
+        assert got.bidegree == want.bidegree
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+
 def test_derivative_against_trig_identity():
     grid = TorusGrid(2, 8)
     c = grid.coordinates()

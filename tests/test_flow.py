@@ -192,10 +192,15 @@ def test_initial_hs_amplitude_and_flat_limit(grid):
 
 
 def test_initial_hs_rejects_bad_epsilon(grid):
-    with pytest.raises(ConfigError, match="nonnegative"):
-        make_initial_hs(grid, epsilon=-0.1)
-    with pytest.raises(PositivityLostError):
-        make_initial_hs(grid, epsilon=5.0, seed=42, mode_cutoff=1)
+    for make in (make_initial_hs, make_initial_kahler):
+        # the schema's range and message, for values on either side of it
+        for epsilon in (-0.1, 5.0):
+            msg = f"initial.epsilon must lie in [0.0, 0.999], got {epsilon}"
+            with pytest.raises(ConfigError, match=re.escape(msg)):
+                make(grid, epsilon=epsilon, seed=42, mode_cutoff=1)
+        # an epsilon in range can still destroy positivity
+        with pytest.raises(PositivityLostError):
+            make(grid, epsilon=0.999, seed=42, mode_cutoff=1)
 
 
 @pytest.mark.parametrize("make", [make_initial_hs, make_initial_kahler],
