@@ -336,6 +336,8 @@ def diagnostics_record(grid: TorusGrid, state: FlowState) -> dict:
 
     The margin is the smallest eigenvalue of the state's metric; this is where
     a sampled metric computes its eigenvalue range, which stage metrics never do.
+    At n=3 that range runs eigvalsh only on the points whose shifted
+    Sylvester minors do not certify them away from both extremes.
     """
     res = residual_norms(grid, state.omega, state.phi)
     return {

@@ -292,6 +292,28 @@ def _positive(*minors) -> bool:
     return all(bool(np.all(np.real(m) > 0.0)) for m in minors)
 
 
+def _hermitian3_minors(d0, d1, d2, n01, n02, n12, tri):
+    """Leading minors of a Hermitian 3x3 stack, with the (0,0) cofactor.
+
+    The stack is given by its real diagonal d, the squared moduli
+    ``nij = |g_ij|^2`` of its upper entries and ``tri = Re(g01 g12 conj(g02))``.
+    Returns ``(lead2, det, c00)``: the 2x2 leading minor ``d0 d1 - n01``, the
+    determinant ``d0 c00 - d1 n02 - d2 n01 + 2 tri`` and the cofactor
+    ``c00 = d1 d2 - n12``; the first leading minor is d0 itself.
+    """
+    c00 = d1 * d2 - n12
+    lead2 = d0 * d1 - n01
+    det = d0 * c00 - d1 * n02 - d2 * n01 + 2.0 * tri
+    return lead2, det, c00
+
+
+def _off_diagonal_terms(u01, u02, u12):
+    """``(|u01|^2, |u02|^2, |u12|^2)`` and ``Re(u01 u12 conj(u02))`` for ``_hermitian3_minors``."""
+    prod = u01 * u12
+    tri = prod.real * u02.real + prod.imag * u02.imag
+    return tuple(u.real * u.real + u.imag * u.imag for u in (u01, u02, u12)), tri
+
+
 def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     """Determinant and inverse of an (n,n,*payload) stack, or None unless positive definite.
 
@@ -302,8 +324,12 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     before anything divides by det, so a singular or indefinite block returns
     None without a floating-point warning.
 
-    ``hermitian`` promises g == g^H exactly; for n=2 the real determinant and
-    the inverse are then read off the real diagonal and the upper entry.
+    ``hermitian`` promises g == g^H exactly.  The real determinant and the
+    inverse are then read off the real diagonal and the upper triangle: for
+    n=2 from the upper entry, for n=3 from the minors of
+    ``_hermitian3_minors``, two more real diagonal cofactors and the three
+    complex upper adjugate entries; the inverse's lower triangle is the
+    conjugate of its upper one.
     """
     if n == 2 and hermitian:
         a, d, b = g[0, 0].real, g[1, 1].real, g[0, 1]
@@ -327,6 +353,25 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         ginv[1, 1] = g[0, 0] * inv_det
         ginv[0, 1] = -g[0, 1] * inv_det
         ginv[1, 0] = -g[1, 0] * inv_det
+        return det, ginv
+    if n == 3 and hermitian:
+        d0, d1, d2 = g[0, 0].real, g[1, 1].real, g[2, 2].real
+        u01, u02, u12 = g[0, 1], g[0, 2], g[1, 2]
+        norms, tri = _off_diagonal_terms(u01, u02, u12)
+        lead2, det, c00 = _hermitian3_minors(d0, d1, d2, *norms, tri)
+        if not _positive(d0, lead2, det):
+            return None
+        inv_det = 1.0 / det
+        ginv = np.empty_like(g)
+        ginv[0, 0] = c00 * inv_det
+        ginv[1, 1] = (d0 * d2 - norms[1]) * inv_det
+        ginv[2, 2] = lead2 * inv_det
+        ginv[0, 1] = (u02 * np.conj(u12) - u01 * d2) * inv_det
+        ginv[0, 2] = (u01 * u12 - u02 * d1) * inv_det
+        ginv[1, 2] = (u02 * np.conj(u01) - d0 * u12) * inv_det
+        ginv[1, 0] = np.conj(ginv[0, 1])
+        ginv[2, 0] = np.conj(ginv[0, 2])
+        ginv[2, 1] = np.conj(ginv[1, 2])
         return det, ginv
     if n == 3:
         c00 = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
@@ -355,17 +400,90 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     return det, ginv
 
 
+# relative rounding slack of the certified n=3 eigenvalue range
+_CERT_SLACK = 2.0 ** -40
+
+
+def _uncertified(a, norms, tri, scale: float) -> np.ndarray:
+    """Points where Sylvester's criterion does not certify a shifted block positive.
+
+    The block has the real diagonal ``a``, the upper moduli ``norms`` and
+    ``tri`` of ``_hermitian3_minors``; a minor of order k passes only when
+    it exceeds ``_CERT_SLACK * scale^k``.
+    """
+    lead2, det, _ = _hermitian3_minors(*a, *norms, tri)
+    tol2 = _CERT_SLACK * scale * scale
+    return ~((a[0] > 0.0) & (lead2 > tol2) & (det > tol2 * scale))
+
+
 def _eig_range(g: np.ndarray, n: int):
-    """(global min, global max) eigenvalue of a finite Hermitian (n,n,*payload) stack."""
+    """(global min, global max) eigenvalue of a Hermitian (n,n,*payload) stack.
+
+    n=2 is the closed form.  Beyond that the result is bitwise the min and
+    max of ``np.linalg.eigvalsh`` over ``herm``, the Hermitian part of g; a
+    non-finite n=3 stack gives (nan, nan).
+
+    For n=3 eigvalsh runs only where an extreme can lie.  With u the
+    smallest diagonal entry of the stack and L its largest, the global
+    minimum is <= u and the global maximum >= L (a diagonal entry is a
+    Rayleigh quotient).  A point leaves the minimum's candidates when
+    Sylvester's criterion certifies ``herm - (u + delta) I`` positive
+    definite there, and the maximum's when it certifies
+    ``(L - delta) I - herm``.  eigvalsh then runs once on the points left in
+    either set; it treats each matrix of a stack on its own, so the min and
+    max are the full-stack call's.
+
+    Rounding: ``delta = 2^-40 max|herm|`` (8192 unit roundoffs), and a
+    minor of order k >= 2 counts as positive only above ``2^-40 R^k``, R
+    bounding every entry of the shifted blocks.  The closed-form minors are
+    a few products and sums of such entries, wrong by under 100 unit
+    roundoffs of R^k, so a certified block is positive definite once its
+    diagonal is moved by one rounding (< eps R).  An excluded point thus has
+    every eigenvalue above ``u + delta - eps R``, and eigvalsh, whose error
+    is a few unit roundoffs of max|herm|, reads it above what it reads at
+    the point of the smallest diagonal entry.  That point is never excluded:
+    its shifted block has a negative diagonal entry.  The maximum mirrors
+    this.
+    """
     if n == 2:
         off = g[0, 1]
         mid = 0.5 * (g[0, 0].real + g[1, 1].real)
         rad = np.sqrt((0.5 * (g[0, 0].real - g[1, 1].real)) ** 2
                       + off.real ** 2 + off.imag ** 2)
         return float(np.min(mid - rad)), float(np.max(mid + rad))
+    if n == 3:
+        # herm's diagonal is g's real diagonal, bit for bit; its upper
+        # triangle is built here, and the whole of herm only where eigvalsh runs
+        g = g.reshape(3, 3, -1)
+        d = [g[i, i].real for i in range(3)]
+        norms, tri = _off_diagonal_terms(*(0.5 * (g[i, j] + np.conj(g[j, i]))
+                                           for i, j in ((0, 1), (0, 2), (1, 2))))
+        # np.min and np.max keep a NaN, which Python's min and max can drop
+        low = float(np.min([np.min(di) for di in d]))
+        high = float(np.max([np.max(di) for di in d]))
+        off = math.sqrt(float(np.max([np.max(ni) for ni in norms])))
+        if not math.isfinite(low + high + off):
+            return math.nan, math.nan
+        delta = _CERT_SLACK * max(abs(low), abs(high), off)
+        scale = max(high - low + delta, off)
+        below, above = low + delta, high - delta
+        keep = (_uncertified([di - below for di in d], norms, tri, scale)
+                | _uncertified([above - di for di in d], norms, -tri, scale))
+        g = g[:, :, np.flatnonzero(keep)]
     herm = 0.5 * (g + _swap_conj(g))
     vals = np.linalg.eigvalsh(np.moveaxis(herm, (0, 1), (-2, -1)))
     return float(np.min(vals)), float(np.max(vals))
+
+
+def _hermiticity_defect(g: np.ndarray) -> float:
+    """max |g - g^H| over max |g| (over 1 for a zero block), read from the pairs i <= j.
+
+    ``|g_ji - conj(g_ij)|`` equals ``|g_ij - conj(g_ji)|`` exactly, so the
+    upper triangle and the diagonal give the full scan's value bit for bit.
+    """
+    scale = float(np.max(np.abs(g))) or 1.0
+    return max(float(np.max(np.abs(g[i, j] - np.conj(g[j, i]))))
+               for i, j in zip(*np.triu_indices(g.shape[0]))) / scale
 
 
 def _positivity_lost(margin: float) -> PositivityLostError:
@@ -379,7 +497,9 @@ class HermitianMetric:
     """Validated positive Hermitian metric with its inverse and determinant.
 
     The eigenvalue range (``margin``, ``max_eig``) is not needed to validate
-    the metric; it is computed on first read and cached.
+    the metric; it is computed on first read and cached.  At n=3 that read
+    runs eigvalsh only at the points the certified range of ``_eig_range``
+    leaves, a few hundred of an N=8 grid's 262 144.
     """
 
     n: int
@@ -426,8 +546,7 @@ class HermitianMetric:
         if not np.isfinite(g).all():
             raise _positivity_lost(math.nan)
         if herm_tol is not None:
-            scale = float(np.max(np.abs(g))) or 1.0
-            defect = float(np.max(np.abs(g - _swap_conj(g)))) / scale
+            defect = _hermiticity_defect(g)
             if defect > herm_tol:
                 raise ValueError(f"metric is not Hermitian: defect {defect:.3e} > {herm_tol:.1e}")
         det_inv = _positive_det_inv(g, n, hermitian=herm_tol is None)

@@ -176,6 +176,37 @@ def _grid_draws(grid: TorusGrid, rng: np.random.Generator, p: int, q: int,
     return out
 
 
+def _varying_metric_errors(grid: TorusGrid, rng: np.random.Generator):
+    """Adjointness, torsion-trace and curvature errors of one random metric on grid.
+
+    Its fields (about 300 MiB at n=3, N=8) are freed on return, before the
+    suite's next check builds its own.
+    """
+    n = grid.n
+    flat = fundamental_form(flat_metric(n, grid.shape))
+    # metric bumps stay at one mode so products of the inverse metric keep
+    # their spectral tail far below Nyquist even on the coarse n=3 grid;
+    # wider bumps alias the star-composition route visibly at N=8
+    bump = _grid_draws(grid, rng, 1, 1, cutoff=1)
+    bump = 0.05 * (bump + conjugate(bump))
+    omega = flat + bump
+    m = metric_of_form(omega)
+    # adjointness of del against its codifferential in the varying metric
+    a = grid.truncate(_grid_draws(grid, rng, 1, 0))
+    b = grid.truncate(_grid_draws(grid, rng, 2, 0))
+    lhs = global_inner_product(grid, grid.del_form(a), b, m)
+    rhs = global_inner_product(grid, a, codifferential_del(grid, b, m), m)
+    adj = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    # the identity behind the flow's cheap torsion route
+    lhs_t = codifferential_dbar(grid, omega, m)
+    rhs_t = metric_trace(grid.del_form(omega), m)
+    torsion = l2_norm(grid, lhs_t - rhs_t) / max(l2_norm(grid, rhs_t), 1e-300)
+    c = chern_form(grid, m)
+    chern = max(l2_norm(grid, conjugate(c) - c),
+                *(l2_norm(grid, dc) for dc in grid.derivatives(c)))
+    return adj, torsion, chern
+
+
 def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Spectral-calculus invariants on the standard desk-scale grids.
 
@@ -226,34 +257,10 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     torsion_worst = 0.0
     chern_worst = 0.0
     for grid in grids:
-        n = grid.n
-        flat = fundamental_form(flat_metric(n, grid.shape))
-        # metric bumps stay at one mode so products of the inverse metric keep
-        # their spectral tail far below Nyquist even on the coarse n=3 grid;
-        # wider bumps alias the star-composition route visibly at N=8
-        bump = _grid_draws(grid, rng, 1, 1, cutoff=1)
-        bump = 0.05 * (bump + conjugate(bump))
-        omega = flat + bump
-        m = metric_of_form(omega)
-        # adjointness of del against its codifferential in the varying metric
-        a = grid.truncate(_grid_draws(grid, rng, 1, 0))
-        b = grid.truncate(_grid_draws(grid, rng, 2, 0))
-        lhs = global_inner_product(grid, grid.del_form(a), b, m)
-        rhs = global_inner_product(grid, a, codifferential_del(grid, b, m), m)
-        adj_worst = max(adj_worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        # the identity behind the flow's cheap torsion route
-        lhs_t = codifferential_dbar(grid, omega, m)
-        rhs_t = metric_trace(grid.del_form(omega), m)
-        torsion_worst = max(
-            torsion_worst,
-            l2_norm(grid, lhs_t - rhs_t) / max(l2_norm(grid, rhs_t), 1e-300),
-        )
-        c = chern_form(grid, m)
-        chern_worst = max(
-            chern_worst,
-            l2_norm(grid, conjugate(c) - c),
-            *(l2_norm(grid, dc) for dc in grid.derivatives(c)),
-        )
+        adj, torsion, chern = _varying_metric_errors(grid, rng)
+        adj_worst = max(adj_worst, adj)
+        torsion_worst = max(torsion_worst, torsion)
+        chern_worst = max(chern_worst, chern)
     results.append(CheckResult("codifferential adjointness", adj_worst, 1e-10))
     results.append(CheckResult("torsion trace identity", torsion_worst, 1e-10))
     results.append(CheckResult("curvature form real and closed", chern_worst, 1e-10))

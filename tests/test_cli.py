@@ -66,11 +66,15 @@ def test_flow_flat_kahler_rows_are_a_fixed_point(tmp_path):
     assert tails.pop() == ("1", "0", "0", "0", "0", "0", "1")
 
 
-@pytest.mark.parametrize("command", ["flow", "volume"])
-def test_flow_reruns_are_byte_identical(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command, overrides", [
+    pytest.param("flow", {}, id="flow"),
     # volume also runs the analysis pass, whose transforms cover the full grid
-    flow = VOLUME_FLOW if command == "volume" else {}
-    cfg = write_config(tmp_path, flow=flow)
+    pytest.param("volume", {"flow": VOLUME_FLOW}, id="volume"),
+    # n=3 runs the closed-form Hermitian inverse and the certified eigenvalue range
+    pytest.param("flow", {"dimension": 3, "grid": 4}, id="flow-n3"),
+])
+def test_flow_reruns_are_byte_identical(tmp_path, monkeypatch, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
     paths = [tmp_path / f"run{i}.csv" for i in range(3)]
     assert main([command, "--config", cfg, "--output", str(paths[0])]) == 0
     assert main([command, "--config", cfg, "--output", str(paths[1])]) == 0

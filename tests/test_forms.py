@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from plurisym.errors import PositivityLostError
+from plurisym.calculus import TorusGrid
+from plurisym.flow import make_initial_hs, step_rk4
 from plurisym.forms import (
     _eig_range,
+    _hermiticity_defect,
     Form,
     HermitianMetric,
     conjugate,
@@ -245,6 +248,124 @@ def test_metric_of_form_round_trip():
     m = HermitianMetric.from_matrix(g)
     again = metric_of_form(fundamental_form(m))
     assert np.allclose(again.g, g, atol=1e-14)
+
+
+def hermitian_part(g):
+    return 0.5 * (g + np.conj(np.swapaxes(g, 0, 1)))
+
+
+def direct_eig_range(g):
+    """(min, max) of eigvalsh on the Hermitian part of the whole stack."""
+    vals = np.linalg.eigvalsh(np.moveaxis(hermitian_part(g), (0, 1), (-2, -1)))
+    return float(np.min(vals)), float(np.max(vals))
+
+
+def random_stack(rng, n, points, spread=0.5):
+    g = np.empty((n, n, points), dtype=np.complex128)
+    for k in range(points):
+        g[:, :, k] = random_hermitian_positive(rng, n, spread)
+    return hermitian_part(g)  # Hermitian to the last bit
+
+
+def rotated(diag, seed=0):
+    """Q diag(diag) Q^H for a fixed random unitary Q, Hermitian to the last bit."""
+    rng = np.random.default_rng(seed)
+    n = len(diag)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return hermitian_part((q * np.asarray(diag)) @ q.conj().T)
+
+
+def test_certified_eig_range_on_the_default_n3_metric():
+    grid = TorusGrid(3, 4)
+    state = make_initial_hs(grid, mode_cutoff=1)
+    for g in (state.metric.g, step_rk4(grid, state, 1e-4).metric.g):
+        assert _eig_range(g, 3) == direct_eig_range(g)
+
+
+def test_certified_eig_range_finds_an_off_diagonal_minimum():
+    # the global minimum 0.6 sits at point 1, whose smallest diagonal entry
+    # (1.2) is not the stack's smallest (0.9, at point 0); likewise the global
+    # maximum 3.8 sits at point 2, not at the largest diagonal entry (3.5)
+    rng = np.random.default_rng(5)
+    g = random_stack(rng, 3, 6)
+    g[:, :, 0] = np.diag([0.9, 3.5, 2.0])
+    g[:, :, 1] = [[1.2, 0.6, 0.0], [0.6, 1.2, 0.0], [0.0, 0.0, 1.2]]
+    g[:, :, 2] = [[2.5, 0.0, 1.3], [0.0, 1.5, 0.0], [1.3, 0.0, 2.5]]
+    want = direct_eig_range(g)
+    assert want[0] == pytest.approx(0.6) and want[1] == pytest.approx(3.8)
+    assert _eig_range(g, 3) == want
+
+
+def test_certified_eig_range_on_the_flat_stack():
+    # every point ties for both extremes
+    assert _eig_range(flat_metric(3, (4, 5)).g, 3) == (1.0, 1.0)
+
+
+def test_certified_eig_range_separates_near_ties():
+    # two points whose smallest eigenvalues differ by an ulp or two
+    rng = np.random.default_rng(9)
+    g = random_stack(rng, 3, 4, spread=2.0)
+    g[:, :, 1] = rotated([1.0, 1.5, 2.0])
+    g[:, :, 3] = rotated([np.nextafter(1.0, 2.0), 1.5, 2.0])
+    lows = [direct_eig_range(g[:, :, k:k + 1])[0] for k in (1, 3)]
+    assert 0 < abs(lows[0] - lows[1]) <= 2 * np.spacing(1.0)
+    assert _eig_range(g, 3) == direct_eig_range(g)
+
+
+@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+def test_indefinite_n3_stack_reports_the_direct_minimum(herm_tol):
+    rng = np.random.default_rng(13)
+    g = random_stack(rng, 3, 5)
+    g[:, :, 2] = rotated([-0.3, 1.0, 2.0], seed=4)
+    with pytest.raises(PositivityLostError) as info:
+        HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+    assert info.value.margin == direct_eig_range(g)[0]
+    assert info.value.margin == pytest.approx(-0.3)
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2), (2, 0)], ids=["diag", "upper", "lower"])
+def test_certified_eig_range_of_a_nan_stack_is_nan(entry):
+    g = flat_metric(3, (4,)).g
+    g[entry + (1,)] = np.nan
+    lo, hi = _eig_range(g, 3)
+    assert math.isnan(lo) and math.isnan(hi)
+
+
+@pytest.mark.parametrize("spread", [0.5, 4.0])
+def test_n3_hermitian_closed_form_against_linalg(spread):
+    rng = np.random.default_rng(37)
+    g = random_stack(rng, 3, 40, spread)
+    m = HermitianMetric.from_matrix(g, herm_tol=None)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert np.array_equal(m.ginv[j, i], np.conj(m.ginv[i, j]))
+    stacked = np.moveaxis(g, -1, 0)
+    want_det = np.linalg.det(stacked).real
+    assert np.max(np.abs(m.det - want_det) / want_det) <= 1e-13
+    want_inv = np.moveaxis(np.linalg.inv(stacked), 0, -1)
+    assert np.max(np.abs(m.ginv - want_inv)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermiticity_defect_reads_the_upper_triangle(n):
+    rng = np.random.default_rng(41 + n)
+    for noise in (1e-12, 1e-6, 1.0):
+        g = random_stack(rng, n, 30)
+        g = g + noise * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        full = float(np.max(np.abs(g - np.conj(np.swapaxes(g, 0, 1)))))
+        assert _hermiticity_defect(g) == full / float(np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("entry, bump", [
+    ("lower", 1e-6), ("diagonal", 1e-6j),
+], ids=["lower", "imaginary-diagonal"])
+def test_metric_rejects_a_single_defect(n, entry, bump):
+    g = random_stack(np.random.default_rng(43), n, 7)
+    i, j = (n - 1, 0) if entry == "lower" else (1, 1)
+    g[i, j, 4] += bump
+    full = float(np.max(np.abs(g - np.conj(np.swapaxes(g, 0, 1))))) / float(np.max(np.abs(g)))
+    with pytest.raises(ValueError, match=f"not Hermitian: defect {full:.3e} > 1.0e-08"):
+        HermitianMetric.from_matrix(g)
 
 
 # ----------------------------------------------------------------------
