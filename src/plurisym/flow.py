@@ -14,6 +14,11 @@ coefficients, and only the fields the pointwise nonlinearities read (the
 metric blocks, del omega, dbar phi) go to physical space and back (the two
 metric traces and log det).  Positivity of the metric is checked at each
 stage and aborts the run; nothing is regularized.
+
+The initial data are built on the band too, so a run starts from its first
+stage with no transform of the full grid.  Only a state built from physical
+fields (``FlowState.make``) is moved to the band by its first step, which
+keeps the content outside the band as a fixed remainder.
 """
 
 from __future__ import annotations
@@ -35,9 +40,6 @@ from .errors import ConstraintViolationError, PositivityLostError
 from .forms import (
     Form,
     HermitianMetric,
-    conjugate,
-    flat_metric,
-    fundamental_form,
     metric_of_form,
     metric_trace,
 )
@@ -65,7 +67,9 @@ class _Remainder:
     Physical fields of that content: of the metric block (as its
     ``TorusGrid.hermitian_parts``), of phi, and of del(omega) and dbar(phi).
     The band-limited velocity never moves it, but it enters every stage's
-    metric and first derivatives exactly as the full fields would.
+    metric and first derivatives exactly as the full fields would.  Only a
+    state built from physical fields has one; a band-native state (initial
+    data, and every step from it) carries None.
     """
 
     g_parts: list
@@ -80,7 +84,7 @@ class _Stage:
 
     omega_hat: np.ndarray
     phi_hat: np.ndarray
-    remainder: _Remainder
+    remainder: Optional[_Remainder]
     metric: HermitianMetric
     del_omega: np.ndarray
     dbar_phi: np.ndarray
@@ -92,9 +96,11 @@ class FlowState:
 
     Snapshots collected by run_flow carry ``metric=None`` so a long trajectory
     does not pin hundreds of inverse-metric blocks in memory; rebuild with
-    metric_of_form(state.omega) when needed.  States returned by step_rk4
-    also carry their band representation (``spectral``), which the next step
-    starts from; treat the forms of such a state as read-only.
+    metric_of_form(state.omega) when needed.  States from the initial-data
+    functions and from step_rk4 also carry their band representation
+    (``spectral``, the first stage of the next step), and their forms are
+    the physical fields of it; treat the forms of such a state as read-only.
+    A state from ``make`` has none: its first step moves it to the band.
     """
 
     t: float
@@ -183,18 +189,20 @@ def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
 # ----------------------------------------------------------------------
 
 def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
-                rem: _Remainder) -> _Stage:
+                rem: Optional[_Remainder]) -> _Stage:
     """Physical stage fields of a band state; builds (and checks) the metric.
 
     ``hermitian_from_band`` makes the metric block Hermitian to the last bit,
     so the metric skips the Hermiticity scan (``herm_tol=None``); positivity
-    is always enforced.
+    is always enforced.  A remainder, when there is one, is added to the
+    physical fields.
     """
-    g = grid.hermitian_from_band(-1j * omega_hat, rem.g_parts)
+    g = grid.hermitian_from_band(-1j * omega_hat, None if rem is None else rem.g_parts)
     del_omega = grid.from_band(grid.derivative_hat(omega_hat, 1, 1, anti=False, band=True))
-    del_omega += rem.del_omega
     dbar_phi = grid.from_band(grid.derivative_hat(phi_hat, 2, 0, anti=True, band=True))
-    dbar_phi += rem.dbar_phi
+    if rem is not None:
+        del_omega += rem.del_omega
+        dbar_phi += rem.dbar_phi
     metric = HermitianMetric.from_matrix(g, herm_tol=None)
     return _Stage(omega_hat, phi_hat, rem, metric, del_omega, dbar_phi)
 
@@ -202,6 +210,7 @@ def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
 def _state_stage(grid: TorusGrid, state: FlowState) -> _Stage:
     """Band representation of a state and its first-stage fields.
 
+    A state built from physical fields is moved to the band here; its
     Fourier content outside the band is kept as a fixed remainder, so the
     stages see all of omega and phi.  The band part of omega is symmetrized
     so that its coefficients are exactly those of a real form.
@@ -245,7 +254,8 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
                       p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4), rem)
     n = grid.n
     phi = grid.from_band(end.phi_hat)
-    phi += rem.phi
+    if rem is not None:
+        phi += rem.phi
     return FlowState(state.t + dt, Form(n, 1, 1, 1j * end.metric.g), Form(n, 2, 0, phi),
                      end.metric, end)
 
@@ -265,6 +275,32 @@ def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric, safety: float) 
 # initial data
 # ----------------------------------------------------------------------
 
+def _initial_state(grid: TorusGrid, epsilon: float, omega_raw: np.ndarray,
+                   phi_raw: np.ndarray) -> FlowState:
+    """Band-native state: the flat form plus the scaled band perturbations.
+
+    ``omega_raw`` holds the band coefficients of an exactly real (1,1)-form
+    and ``phi_raw`` those of a (2,0)-form.  Both are scaled so that the
+    largest physical coefficient has magnitude epsilon, and the flat form is
+    put on the k=0 coefficient.  The state's forms are the physical fields
+    of its first stage, as in the states step_rk4 returns, and it carries no
+    remainder.
+    """
+    n = grid.n
+    amp = float(np.max(np.abs(grid.hermitian_from_band(-1j * omega_raw))))
+    if phi_raw.size:
+        amp = max(amp, float(np.max(np.abs(grid.from_band(phi_raw)))))
+    scale = epsilon / amp if amp > 0 else 0.0
+    omega_hat = scale * omega_raw
+    diag = np.arange(n)
+    # unnormalized forward transform: a constant c has k=0 coefficient c * points^(2n)
+    omega_hat[(diag, diag) + (0,) * (2 * n)] += 1j * grid.points ** (2 * n)
+    phi_hat = scale * phi_raw
+    stage = _band_stage(grid, omega_hat, phi_hat, None)
+    return FlowState(0.0, Form(n, 1, 1, 1j * stage.metric.g),
+                     Form(n, 2, 0, grid.from_band(phi_hat)), stage.metric, stage)
+
+
 def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
                     seed: int = InitialSettings.seed,
                     mode_cutoff: int = InitialSettings.mode_cutoff) -> FlowState:
@@ -275,6 +311,8 @@ def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
     its (2,0) part (phi) and its (1,1) part (added to the flat omega), then
     scaled so the largest coefficient has magnitude ``epsilon``.  The total is
     exactly d-closed by construction, and epsilon = 0 gives the flat state.
+    Everything is built on band coefficients, so the state starts on the
+    resolved band with no transform of the full grid.
     The arguments must lie in the ranges of ``InitialSettings``, and
     ``mode_cutoff`` in the dealias band [1, points // 3]; ConfigError names
     the one that does not.
@@ -286,20 +324,14 @@ def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
     check_mode_cutoff(mode_cutoff, grid.points)
     n = grid.n
     rng = np.random.default_rng(seed)
-    zeta = Form.zeros(n, 1, 0, grid.shape)
+    zeta = np.empty((n, 1) + grid.band_shape, dtype=np.complex128)
     for i in range(n):
-        zeta.coeffs[i, 0] = random_band_limited(grid, rng, mode_cutoff, real=False)
-    # phi_raw is the (2,0) part of d(zeta + conj(zeta))
-    phi_raw, mixed = grid.derivatives(zeta)
-    omega_raw = mixed + conjugate(mixed)               # (1,1) part, exactly real
-    amp = max(
-        float(np.max(np.abs(phi_raw.coeffs))) if phi_raw.coeffs.size else 0.0,
-        float(np.max(np.abs(omega_raw.coeffs))),
-    )
-    scale = epsilon / amp if amp > 0 else 0.0
-    omega = fundamental_form(flat_metric(n, grid.shape)) + scale * omega_raw
-    phi = scale * phi_raw
-    return FlowState.make(grid, 0.0, omega, phi)
+        zeta[i, 0] = random_band_limited(grid, rng, mode_cutoff, real=False, band=True)
+    # phi_raw is the (2,0) part of d(zeta + conj(zeta)), the (1,1) part is
+    # mixed + conj(mixed), exactly real
+    phi_raw = grid.derivative_hat(zeta, 1, 0, anti=False, band=True)
+    mixed = grid.derivative_hat(zeta, 1, 0, anti=True, band=True)
+    return _initial_state(grid, epsilon, mixed + grid.band_conjugate(mixed, 1, 1), phi_raw)
 
 
 def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
@@ -308,23 +340,19 @@ def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilo
     """Closed initial data with phi = 0: flat form plus a potential perturbation.
 
     omega = flat + scaled i*del(dbar(u)) for a band-limited real potential u,
-    symmetrized so the coefficients are Hermitian to the last bit.  States of
-    this shape keep phi identically zero along the flow.  The arguments are
-    checked as in ``make_initial_hs``.
+    symmetrized on the band so the coefficients are those of a real form to
+    the last bit.  States of this shape keep phi identically zero along the
+    flow.  The arguments are checked as in ``make_initial_hs``.
     """
     InitialSettings(epsilon=epsilon, seed=seed, mode_cutoff=mode_cutoff)
     check_mode_cutoff(mode_cutoff, grid.points)
-    n = grid.n
     rng = np.random.default_rng(seed)
-    u = random_band_limited(grid, rng, mode_cutoff)
-    u_form = Form(n, 0, 0, u[(None, None)])
-    pert = -1j * grid.dbar_form(grid.del_form(u_form))
-    pert = 0.5 * (pert + conjugate(pert))
-    amp = float(np.max(np.abs(pert.coeffs)))
-    scale = epsilon / amp if amp > 0 else 0.0
-    omega = fundamental_form(flat_metric(n, grid.shape)) + scale * pert
-    phi = Form.zeros(n, 2, 0, grid.shape)
-    return FlowState.make(grid, 0.0, omega, phi)
+    u = random_band_limited(grid, rng, mode_cutoff, band=True)
+    du = grid.derivative_hat(u[None, None], 0, 0, anti=False, band=True)
+    pert = -1j * grid.derivative_hat(du, 1, 0, anti=True, band=True)
+    omega_raw = 0.5 * (pert + grid.band_conjugate(pert, 1, 1))
+    return _initial_state(grid, epsilon, omega_raw,
+                          Form.zeros(grid.n, 2, 0, grid.band_shape).coeffs)
 
 
 # ----------------------------------------------------------------------

@@ -287,9 +287,16 @@ def _swap_conj(g: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(g, 0, 1))
 
 
-def _positive(*minors) -> bool:
-    """True when every entry of every minor has a real part > 0 (NaN fails)."""
-    return all(bool(np.all(np.real(m) > 0.0)) for m in minors)
+def _positive(det, *minors) -> bool:
+    """True when every entry of det and of every minor has a real part > 0 (NaN fails).
+
+    Raises PositivityLostError with margin nan when det is not finite: the
+    entries are finite (``from_matrix`` checks them first), but a product
+    overflowed, and no inverse can be read off such a det.
+    """
+    if not np.isfinite(det).all():
+        raise _positivity_lost(math.nan)
+    return all(bool(np.all(np.real(m) > 0.0)) for m in (det,) + minors)
 
 
 def _hermitian3_minors(d0, d1, d2, n01, n02, n12, tri):
@@ -322,7 +329,9 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     the adjugate's (2,2) cofactor and det, all from the closed-form inverse;
     beyond that ``np.linalg.det`` of the leading blocks.  They are checked
     before anything divides by det, so a singular or indefinite block returns
-    None without a floating-point warning.
+    None without a floating-point warning.  The closed forms' products may
+    overflow on finite entries; that det is not finite, and ``_positive``
+    raises PositivityLostError (margin nan) instead of warning.
 
     ``hermitian`` promises g == g^H exactly.  The real determinant and the
     inverse are then read off the real diagonal and the upper triangle: for
@@ -333,8 +342,9 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     """
     if n == 2 and hermitian:
         a, d, b = g[0, 0].real, g[1, 1].real, g[0, 1]
-        det = a * d - (b.real * b.real + b.imag * b.imag)
-        if not _positive(a, det):
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = a * d - (b.real * b.real + b.imag * b.imag)
+        if not _positive(det, a):
             return None
         inv_det = 1.0 / det
         ginv = np.empty_like(g)
@@ -344,8 +354,9 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         ginv[1, 0] = np.conj(ginv[0, 1])
         return det, ginv
     if n == 2:
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        if not _positive(g[0, 0], det):
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        if not _positive(det, g[0, 0]):
             return None
         inv_det = 1.0 / det
         ginv = np.empty_like(g)
@@ -357,9 +368,10 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     if n == 3 and hermitian:
         d0, d1, d2 = g[0, 0].real, g[1, 1].real, g[2, 2].real
         u01, u02, u12 = g[0, 1], g[0, 2], g[1, 2]
-        norms, tri = _off_diagonal_terms(u01, u02, u12)
-        lead2, det, c00 = _hermitian3_minors(d0, d1, d2, *norms, tri)
-        if not _positive(d0, lead2, det):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms, tri = _off_diagonal_terms(u01, u02, u12)
+            lead2, det, c00 = _hermitian3_minors(d0, d1, d2, *norms, tri)
+        if not _positive(det, d0, lead2):
             return None
         inv_det = 1.0 / det
         ginv = np.empty_like(g)
@@ -374,12 +386,13 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         ginv[2, 1] = np.conj(ginv[1, 2])
         return det, ginv
     if n == 3:
-        c00 = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
-        c01 = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
-        c02 = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
-        det = g[0, 0] * c00 + g[0, 1] * c01 + g[0, 2] * c02
-        lead2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        if not _positive(g[0, 0], lead2, det):
+        with np.errstate(over="ignore", invalid="ignore"):
+            c00 = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
+            c01 = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
+            c02 = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
+            det = g[0, 0] * c00 + g[0, 1] * c01 + g[0, 2] * c02
+            lead2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        if not _positive(det, g[0, 0], lead2):
             return None
         adj = np.empty_like(g)
         adj[0, 0] = c00
@@ -394,7 +407,7 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         return det, adj / det
     stacked = np.moveaxis(g, (0, 1), (-2, -1))
     det = np.linalg.det(stacked)
-    if not _positive(*(np.linalg.det(stacked[..., :k, :k]) for k in range(1, n)), det):
+    if not _positive(det, *(np.linalg.det(stacked[..., :k, :k]) for k in range(1, n))):
         return None
     ginv = np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
     return det, ginv
@@ -537,7 +550,8 @@ class HermitianMetric:
         the upper one by construction.
         Raises PositivityLostError, carrying the smallest eigenvalue as its
         margin, when g is not positive definite at every point by Sylvester's
-        criterion, and with margin nan when g holds a non-finite entry.
+        criterion, and with margin nan when g holds a non-finite entry or
+        its determinant overflows.
         """
         g = np.asarray(g, dtype=np.complex128)
         n = g.shape[0]

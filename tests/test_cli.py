@@ -70,8 +70,11 @@ def test_flow_flat_kahler_rows_are_a_fixed_point(tmp_path):
     pytest.param("flow", {}, id="flow"),
     # volume also runs the analysis pass, whose transforms cover the full grid
     pytest.param("volume", {"flow": VOLUME_FLOW}, id="volume"),
-    # n=3 runs the closed-form Hermitian inverse and the certified eigenvalue range
+    # n=3 runs the closed-form Hermitian inverse and the certified eigenvalue
+    # range; both n=3 ids start from band-native initial data
     pytest.param("flow", {"dimension": 3, "grid": 4}, id="flow-n3"),
+    pytest.param("flow", {"dimension": 3, "grid": 4, "initial": {"type": "flat_kahler"}},
+                 id="flow-n3-flat-kahler"),
 ])
 def test_flow_reruns_are_byte_identical(tmp_path, monkeypatch, command, overrides):
     cfg = write_config(tmp_path, **overrides)

@@ -221,6 +221,55 @@ def test_initial_kahler_shape(grid):
     assert res["d_omega"] < 1e-12
 
 
+@pytest.mark.parametrize("points", [8, 12])
+@pytest.mark.parametrize("make", [make_initial_hs, make_initial_kahler],
+                         ids=["hs", "kahler"])
+def test_initial_data_flat_limit_is_exact(make, points):
+    # 12 is not a power of two: the k=0 coefficient must still give 1 exactly
+    grid = TorusGrid(2, points)
+    st = make(grid, epsilon=0.0, seed=42)
+    assert np.array_equal(st.omega.coeffs, fundamental_form(flat_metric(2, grid.shape)).coeffs)
+    assert not np.any(st.phi.coeffs)
+
+
+BAND_NATIVE = [
+    pytest.param(make, n, points, cutoff, id=f"{name}-n{n}")
+    for make, name in ((make_initial_hs, "hs"), (make_initial_kahler, "kahler"))
+    for n, points, cutoff in ((2, 8, 2), (3, 4, 1))
+]
+
+
+@pytest.mark.parametrize("make, n, points, cutoff", BAND_NATIVE)
+def test_initial_data_start_on_the_band(monkeypatch, make, n, points, cutoff):
+    grid = TorusGrid(n, points)
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(self, arr, real=getattr(TorusGrid, name), name=name):
+            calls.append(name)
+            return real(self, arr)
+
+        monkeypatch.setattr(TorusGrid, name, counted)
+    st = make(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
+    step_rk4(grid, st, 1e-4)
+    # neither the initial data nor the first step transforms the full grid
+    assert calls == []
+    assert st.spectral.remainder is None
+    omega_hat = st.spectral.omega_hat
+    assert np.array_equal(omega_hat, grid.band_conjugate(omega_hat, 1, 1))
+
+
+@pytest.mark.parametrize("make, n, points, cutoff", BAND_NATIVE)
+def test_band_native_steps_match_the_remainder_route(make, n, points, cutoff):
+    grid = TorusGrid(n, points)
+    native = make(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
+    physical = FlowState.make(grid, 0.0, native.omega, native.phi)
+    for _ in range(5):
+        native, physical = step_rk4(grid, native, 1e-3), step_rk4(grid, physical, 1e-3)
+    assert physical.spectral.remainder is not None
+    for a, b in ((native.omega, physical.omega), (native.phi, physical.phi)):
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * np.max(np.abs(a.coeffs))
+
+
 def test_flow_state_validates(grid):
     with pytest.raises(ValueError, match=r"\(1,1\)"):
         FlowState.make(grid, 0.0, Form.zeros(2, 2, 0, grid.shape),

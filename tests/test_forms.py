@@ -221,6 +221,22 @@ def test_singular_metric_raises_without_warning(diag, herm_tol):
 
 
 @pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+def test_overflowing_det_is_a_positivity_loss(n, herm_tol):
+    # finite entries whose determinant overflows: no inverse can be read off
+    # that det, so the block is a positivity loss, raised without a warning
+    g = np.empty((n, n, 4), dtype=np.complex128)
+    g[...] = np.eye(n)[:, :, None]
+    for i in range(n):
+        g[i, i, 2] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityLostError) as info:
+            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+    assert math.isnan(info.value.margin)
+
+
+@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
 @pytest.mark.parametrize("bad", [
     (-1.0, -1.0),             # g00 fails; det > 0
     (1.0, -1.0, -1.0),        # the 2x2 leading minor fails; det > 0
