@@ -246,31 +246,20 @@ class TorusGrid:
         flipped = swapped.reshape(-1, self._band_neg.size).take(self._band_neg, axis=1)
         return sign * flipped.reshape(swapped.shape)
 
-    def hermitian_parts(self, g: np.ndarray) -> list:
-        """Independent entries of a Hermitian (n, n) block, one per transform.
-
-        The real diagonal goes in pairs g_ii + sqrt(-1) g_(i+1)(i+1) (the last
-        one alone when n is odd), followed by the upper triangle row by row.
-        """
-        n = self.n
-        parts = [g[i, i] + 1j * g[i + 1, i + 1] if i + 1 < n else g[i, i]
-                 for i in range(0, n, 2)]
-        return parts + [g[i, j] for i in range(n) for j in range(i + 1, n)]
-
-    def hermitian_from_band(self, g_hat: np.ndarray,
-                            extra: Optional[list] = None) -> np.ndarray:
+    def hermitian_from_band(self, g_hat: np.ndarray) -> np.ndarray:
         """Physical (n, n) block of a Hermitian field from its band coefficients.
 
-        Each of ``hermitian_parts`` takes one transform; ``extra`` holds
-        physical fields added to those parts.  The diagonal is read off as
-        real and imaginary parts and the lower triangle is the conjugate of
-        the upper one, so the result is Hermitian to the last bit.
+        One transform per independent entry: the real diagonal in pairs
+        g_ii + sqrt(-1) g_(i+1)(i+1) (the last one alone when n is odd),
+        then the upper triangle row by row.  The diagonal is read off as real
+        and imaginary parts and the lower triangle is the conjugate of the
+        upper one, so the result is Hermitian to the last bit.
         """
         n = self.n
-        fields = [self.from_band(part) for part in self.hermitian_parts(g_hat)]
-        if extra is not None:
-            for field, add in zip(fields, extra):
-                field += add
+        parts = [g_hat[i, i] + 1j * g_hat[i + 1, i + 1] if i + 1 < n else g_hat[i, i]
+                 for i in range(0, n, 2)]
+        parts += [g_hat[i, j] for i in range(n) for j in range(i + 1, n)]
+        fields = [self.from_band(part) for part in parts]
         out = np.empty((n, n) + self.shape, dtype=np.complex128)
         for k, i in enumerate(range(0, n, 2)):
             out[i, i] = fields[k].real
@@ -282,13 +271,6 @@ class TorusGrid:
                 out[i, j] = next(upper)
                 out[j, i] = np.conj(out[i, j])
         return out
-
-    def band_split(self, arr: np.ndarray):
-        """(band coefficients, full spectrum with the band zeroed) of a field."""
-        full = self.fft(arr)
-        band = full[..., self.dealias_mask]
-        full[..., self.dealias_mask] = 0.0
-        return band.reshape(arr.shape[:arr.ndim - 2 * self.n] + self.band_shape), full
 
     def coordinates(self):
         """Broadcastable coordinate arrays, ordered (x^1, y^1, ..., x^n, y^n)."""

@@ -171,9 +171,11 @@ def parse_config(text: str) -> RunConfig:
     if "dimension" not in raw:
         raise ConfigError("dimension is required (supported: 2, 3)")
     dim = raw["dimension"]
+    if isinstance(dim, float):
+        raise ConfigError(f"dimension must be an integer, got {dim!r}")
     if dim not in (2, 3):
         raise ConfigError(f"dimension is out of range: got {dim!r} (supported: 2, 3)")
-    cfg = RunConfig(int(dim), raw.get("grid", DEFAULT_GRID[dim]))
+    cfg = RunConfig(dim, raw.get("grid", DEFAULT_GRID[dim]))
 
     sec = _section(raw, "initial")
     _reject_unknown(sec, [f.name for f in fields(InitialSettings)], "initial")

@@ -15,17 +15,17 @@ metric blocks, del omega, dbar phi) go to physical space and back (the two
 metric traces and log det).  Positivity of the metric is checked at each
 stage and aborts the run; nothing is regularized.
 
-The initial data are built on the band too, so a run starts from its first
-stage with no transform of the full grid.  Only a state built from physical
-fields (``FlowState.make``) is moved to the band by its first step, which
-keeps the content outside the band as a fixed remainder.
+Every state lives on the band: the initial data are built there, and
+``FlowState.make`` takes physical fields there once, refusing a field with
+Fourier content outside the band beyond roundoff.  So a step starts from the
+state's first stage with no transform of the full grid.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .volume import volume_V
 
 __all__ = [
     "FlowState",
+    "Sample",
     "FlowConfig",
     "FlowResult",
     "pluriclosed_rhs",
@@ -60,22 +61,9 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class _Remainder:
-    """Fourier content of a state outside the resolved band, held fixed.
-
-    Physical fields of that content: of the metric block (as its
-    ``TorusGrid.hermitian_parts``), of phi, and of del(omega) and dbar(phi).
-    The band-limited velocity never moves it, but it enters every stage's
-    metric and first derivatives exactly as the full fields would.  Only a
-    state built from physical fields has one; a band-native state (initial
-    data, and every step from it) carries None.
-    """
-
-    g_parts: list
-    del_omega: np.ndarray
-    phi: np.ndarray
-    dbar_phi: np.ndarray
+# Fourier content outside the band, relative to a field's largest entry, that
+# FlowState.make accepts as roundoff; band-limited fields measure ~1e-15
+_OUT_OF_BAND_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -84,7 +72,6 @@ class _Stage:
 
     omega_hat: np.ndarray
     phi_hat: np.ndarray
-    remainder: Optional[_Remainder]
     metric: HermitianMetric
     del_omega: np.ndarray
     dbar_phi: np.ndarray
@@ -92,28 +79,29 @@ class _Stage:
 
 @dataclass(eq=False, repr=False)
 class FlowState:
-    """Flow state at one instant: the two forms plus the cached metric of omega.
+    """Flow state at one instant: the two forms, the metric of omega, and its band stage.
 
-    Snapshots collected by run_flow carry ``metric=None`` so a long trajectory
-    does not pin hundreds of inverse-metric blocks in memory; rebuild with
-    metric_of_form(state.omega) when needed.  States from the initial-data
-    functions and from step_rk4 also carry their band representation
-    (``spectral``, the first stage of the next step), and their forms are
-    the physical fields of it; treat the forms of such a state as read-only.
-    A state from ``make`` has none: its first step moves it to the band.
+    ``spectral`` is the band representation of the state, the first stage of
+    its next step.  For states from the initial-data functions and from
+    step_rk4 the forms are the physical fields of that stage; treat them as
+    read-only.  A state from ``make`` keeps the forms it was given.
     """
 
     t: float
     omega: Form
     phi: Form
-    metric: Optional[HermitianMetric]
-    spectral: Optional[_Stage] = field(default=None, repr=False)
+    metric: HermitianMetric
+    spectral: _Stage
 
     @classmethod
     def make(cls, grid: TorusGrid, t: float, omega: Form, phi: Form) -> "FlowState":
-        """Validate bidegrees and payloads, then build the metric of omega.
+        """Validate bidegrees, payloads and the metric of omega, then move the forms to the band.
 
-        Raises PositivityLostError when omega is not a positive form.
+        ``metric`` is ``metric_of_form(omega)``.  The band part of omega is
+        symmetrized so that its coefficients are exactly those of a real form.
+        Raises PositivityLostError when omega is not a positive form, and
+        ValueError when either form has Fourier content outside the resolved
+        band beyond roundoff (``_OUT_OF_BAND_TOL`` of its largest entry).
         """
         if omega.bidegree != (1, 1):
             raise ValueError(f"omega must be a (1,1)-form, got {omega.bidegree}")
@@ -125,15 +113,39 @@ class FlowState:
                     f"{name} must live on the grid (n={grid.n}, payload {grid.shape}), "
                     f"got n={f.n}, payload {f.payload}"
                 )
-        return cls(float(t), omega, phi, metric_of_form(omega))
+        metric = metric_of_form(omega)
+        hats = [grid.to_band(f.coeffs) for f in (omega, phi)]
+        for name, f, hat in zip(("omega", "phi"), (omega, phi), hats):
+            # a non-finite field measures NaN here; its metric or the first
+            # sample's constraint guard stops it
+            with np.errstate(invalid="ignore"):
+                outside = float(np.max(np.abs(f.coeffs - grid.from_band(hat))))
+            largest = float(np.max(np.abs(f.coeffs)))
+            if outside > _OUT_OF_BAND_TOL * largest:
+                raise ValueError(
+                    f"{name} has Fourier content outside the resolved band "
+                    f"|k| <= {grid.dealias_cutoff}: {outside:.3e} against its largest "
+                    f"entry {largest:.3e}"
+                )
+        omega_hat, phi_hat = hats
+        omega_hat = 0.5 * (omega_hat + grid.band_conjugate(omega_hat, 1, 1))
+        return cls(float(t), omega, phi, metric, _band_stage(grid, omega_hat, phi_hat))
+
+
+class Sample(NamedTuple):
+    """The forms of a sampled state, as run_flow collects them."""
+
+    t: float
+    omega: Form
+    phi: Form
 
 
 @dataclass
 class FlowResult:
-    """Diagnostic series of a run, optional state snapshots, and the final state."""
+    """Diagnostic series of a run, the sampled forms (if collected), and the final state."""
 
     records: List[dict]
-    states: List[FlowState]
+    states: List[Sample]
     final: FlowState
 
 
@@ -188,45 +200,18 @@ def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
 # stepping
 # ----------------------------------------------------------------------
 
-def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
-                rem: Optional[_Remainder]) -> _Stage:
+def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray) -> _Stage:
     """Physical stage fields of a band state; builds (and checks) the metric.
 
     ``hermitian_from_band`` makes the metric block Hermitian to the last bit,
     so the metric skips the Hermiticity scan (``herm_tol=None``); positivity
-    is always enforced.  A remainder, when there is one, is added to the
-    physical fields.
+    is always enforced.
     """
-    g = grid.hermitian_from_band(-1j * omega_hat, None if rem is None else rem.g_parts)
+    g = grid.hermitian_from_band(-1j * omega_hat)
     del_omega = grid.from_band(grid.derivative_hat(omega_hat, 1, 1, anti=False, band=True))
     dbar_phi = grid.from_band(grid.derivative_hat(phi_hat, 2, 0, anti=True, band=True))
-    if rem is not None:
-        del_omega += rem.del_omega
-        dbar_phi += rem.dbar_phi
     metric = HermitianMetric.from_matrix(g, herm_tol=None)
-    return _Stage(omega_hat, phi_hat, rem, metric, del_omega, dbar_phi)
-
-
-def _state_stage(grid: TorusGrid, state: FlowState) -> _Stage:
-    """Band representation of a state and its first-stage fields.
-
-    A state built from physical fields is moved to the band here; its
-    Fourier content outside the band is kept as a fixed remainder, so the
-    stages see all of omega and phi.  The band part of omega is symmetrized
-    so that its coefficients are exactly those of a real form.
-    """
-    if state.spectral is not None:
-        return state.spectral
-    omega_hat, omega_out = grid.band_split(state.omega.coeffs)
-    omega_hat = 0.5 * (omega_hat + grid.band_conjugate(omega_hat, 1, 1))
-    phi_hat, phi_out = grid.band_split(state.phi.coeffs)
-    rem = _Remainder(
-        [grid.ifft(part) for part in grid.hermitian_parts(-1j * omega_out)],
-        grid.ifft(grid.derivative_hat(omega_out, 1, 1, anti=False)),
-        grid.ifft(phi_out),
-        grid.ifft(grid.derivative_hat(phi_out, 2, 0, anti=True)),
-    )
-    return _band_stage(grid, omega_hat, phi_hat, rem)
+    return _Stage(omega_hat, phi_hat, metric, del_omega, dbar_phi)
 
 
 def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
@@ -239,25 +224,22 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    s1 = _state_stage(grid, state)
-    w0, p0, rem = s1.omega_hat, s1.phi_hat, s1.remainder
+    s1 = state.spectral
+    w0, p0 = s1.omega_hat, s1.phi_hat
 
     def rate(st: _Stage):
         return _velocities(grid, st.metric, st.del_omega, st.dbar_phi)
 
     kw1, kp1 = rate(s1)
-    kw2, kp2 = rate(_band_stage(grid, w0 + (0.5 * dt) * kw1, p0 + (0.5 * dt) * kp1, rem))
-    kw3, kp3 = rate(_band_stage(grid, w0 + (0.5 * dt) * kw2, p0 + (0.5 * dt) * kp2, rem))
-    kw4, kp4 = rate(_band_stage(grid, w0 + dt * kw3, p0 + dt * kp3, rem))
+    kw2, kp2 = rate(_band_stage(grid, w0 + (0.5 * dt) * kw1, p0 + (0.5 * dt) * kp1))
+    kw3, kp3 = rate(_band_stage(grid, w0 + (0.5 * dt) * kw2, p0 + (0.5 * dt) * kp2))
+    kw4, kp4 = rate(_band_stage(grid, w0 + dt * kw3, p0 + dt * kp3))
     sixth = dt / 6.0
     end = _band_stage(grid, w0 + sixth * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4),
-                      p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4), rem)
+                      p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4))
     n = grid.n
-    phi = grid.from_band(end.phi_hat)
-    if rem is not None:
-        phi += rem.phi
-    return FlowState(state.t + dt, Form(n, 1, 1, 1j * end.metric.g), Form(n, 2, 0, phi),
-                     end.metric, end)
+    return FlowState(state.t + dt, Form(n, 1, 1, 1j * end.metric.g),
+                     Form(n, 2, 0, grid.from_band(end.phi_hat)), end.metric, end)
 
 
 def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric, safety: float) -> float:
@@ -283,8 +265,7 @@ def _initial_state(grid: TorusGrid, epsilon: float, omega_raw: np.ndarray,
     and ``phi_raw`` those of a (2,0)-form.  Both are scaled so that the
     largest physical coefficient has magnitude epsilon, and the flat form is
     put on the k=0 coefficient.  The state's forms are the physical fields
-    of its first stage, as in the states step_rk4 returns, and it carries no
-    remainder.
+    of its first stage, as in the states step_rk4 returns.
     """
     n = grid.n
     amp = float(np.max(np.abs(grid.hermitian_from_band(-1j * omega_raw))))
@@ -296,7 +277,7 @@ def _initial_state(grid: TorusGrid, epsilon: float, omega_raw: np.ndarray,
     # unnormalized forward transform: a constant c has k=0 coefficient c * points^(2n)
     omega_hat[(diag, diag) + (0,) * (2 * n)] += 1j * grid.points ** (2 * n)
     phi_hat = scale * phi_raw
-    stage = _band_stage(grid, omega_hat, phi_hat, None)
+    stage = _band_stage(grid, omega_hat, phi_hat)
     return FlowState(0.0, Form(n, 1, 1, 1j * stage.metric.g),
                      Form(n, 2, 0, grid.from_band(phi_hat)), stage.metric, stage)
 
@@ -401,13 +382,13 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
             stacklevel=2,
         )
     records: List[dict] = []
-    states: List[FlowState] = []
+    states: List[Sample] = []
 
     def take_sample(st: FlowState):
         rec = diagnostics_record(grid, st)
         records.append(rec)
         if config.collect_states:
-            states.append(FlowState(st.t, st.omega, st.phi, None))
+            states.append(Sample(st.t, st.omega, st.phi))
         if not rec["hs_constraint_residual"] <= config.constraint_abort:
             raise ConstraintViolationError(
                 f"constraint residual {rec['hs_constraint_residual']:.3e} exceeded "

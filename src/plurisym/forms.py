@@ -288,15 +288,18 @@ def _swap_conj(g: np.ndarray) -> np.ndarray:
 
 
 def _positive(det, *minors) -> bool:
-    """True when every entry of det and of every minor has a real part > 0 (NaN fails).
+    """True when det is at least the smallest normal float and every minor is > 0.
 
-    Raises PositivityLostError with margin nan when det is not finite: the
-    entries are finite (``from_matrix`` checks them first), but a product
-    overflowed, and no inverse can be read off such a det.
+    Real parts, at every entry; NaN fails, and so does a subnormal det, whose
+    reciprocal overflows.  Raises PositivityLostError with margin nan when
+    det is not finite: the entries are finite (``from_matrix`` checks them
+    first), but a product overflowed, and no inverse can be read off such a
+    det.
     """
     if not np.isfinite(det).all():
         raise _positivity_lost(math.nan)
-    return all(bool(np.all(np.real(m) > 0.0)) for m in (det,) + minors)
+    return (bool(np.all(np.real(det) >= np.finfo(float).tiny))
+            and all(bool(np.all(np.real(m) > 0.0)) for m in minors))
 
 
 def _hermitian3_minors(d0, d1, d2, n01, n02, n12, tri):
@@ -325,7 +328,8 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     """Determinant and inverse of an (n,n,*payload) stack, or None unless positive definite.
 
     Positivity is Sylvester's criterion: every leading principal minor is
-    > 0 at every point.  For n=2 the minors are g00 and det; for n=3, g00,
+    > 0 at every point, and det at least the smallest normal float, so that
+    1 / det is finite.  For n=2 the minors are g00 and det; for n=3, g00,
     the adjugate's (2,2) cofactor and det, all from the closed-form inverse;
     beyond that ``np.linalg.det`` of the leading blocks.  They are checked
     before anything divides by det, so a singular or indefinite block returns
@@ -550,8 +554,8 @@ class HermitianMetric:
         the upper one by construction.
         Raises PositivityLostError, carrying the smallest eigenvalue as its
         margin, when g is not positive definite at every point by Sylvester's
-        criterion, and with margin nan when g holds a non-finite entry or
-        its determinant overflows.
+        criterion or its determinant is subnormal somewhere, and with margin
+        nan when g holds a non-finite entry or its determinant overflows.
         """
         g = np.asarray(g, dtype=np.complex128)
         n = g.shape[0]

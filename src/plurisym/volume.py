@@ -206,10 +206,10 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
                                 resolution_guard: float = Tolerances.resolution_guard) -> dict:
     """Compare centered-difference time derivatives with their integral formulas.
 
-    ``states`` are evenly spaced trajectory snapshots carrying .t, .omega and
-    .phi; the metric of omega is rebuilt here rather than read off the
-    snapshots.  Three identities are checked: dV/dt against Q[1; curvature
-    form], dF/dt against -2 <dbar omega, dbar omega> in the evolving metric,
+    ``states`` are evenly spaced trajectory samples carrying .t, .omega and
+    .phi (``flow.Sample``); the metric of omega is rebuilt here.  Three
+    identities are checked: dV/dt against Q[1; curvature form], dF/dt
+    against -2 <dbar omega, dbar omega> in the evolving metric,
     and (in dimension two) the rate of the squared-volume functional
     P[0,0; 1] against its torsion-pairing plus curvature terms, with the
     torsion evaluated through the star-composition codifferential so the

@@ -98,6 +98,12 @@ def test_dimension_out_of_range_names_supported_values():
         parse_config('{"dimension": 5}')
 
 
+@pytest.mark.parametrize("dim", ["2.0", "3.0"])
+def test_dimension_must_be_an_integer(dim):
+    with pytest.raises(ConfigError, match=f"dimension must be an integer, got {dim}"):
+        parse_config(f'{{"dimension": {dim}}}')
+
+
 def test_negative_steps_names_flow_steps():
     with pytest.raises(ConfigError, match=r"flow\.steps"):
         parse_config('{"dimension": 2, "flow": {"steps": -1}}')

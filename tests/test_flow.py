@@ -27,7 +27,7 @@ from plurisym.flow import (
     run_flow,
     step_rk4,
 )
-from plurisym.forms import Form, conjugate, flat_metric, fundamental_form
+from plurisym.forms import Form, conjugate, flat_metric, fundamental_form, metric_of_form
 
 
 @pytest.fixture(scope="module")
@@ -135,31 +135,31 @@ def test_step_rejects_nonpositive_dt(grid, hs_state):
         step_rk4(grid, hs_state, 0.0)
 
 
-def test_step_carries_out_of_band_content(grid, hs_state):
-    # a bump beyond the dealias band (cutoff 2 on N=8): the band-limited
-    # velocity never moves it, but every stage's metric sees it
+def test_make_refuses_out_of_band_content(grid, hs_state):
+    # a bump beyond the dealias band (cutoff 2 on N=8) is refused on either
+    # form; the same omega projected onto the band is accepted
     x = grid.coordinates()[0]
+    wave = np.cos(2 * np.pi * 3 * x)
     bump = Form.zeros(2, 1, 1, grid.shape)
-    bump.coeffs[0, 0] = 0.02j * np.cos(2 * np.pi * 3 * x)
-    st = FlowState.make(grid, 0.0, hs_state.omega + bump, hs_state.phi)
-    band_only = FlowState.make(grid, 0.0, grid.truncate(st.omega), hs_state.phi)
-    dt = 1e-4
-    new, new_band_only = step_rk4(grid, st, dt), step_rk4(grid, band_only, dt)
+    bump.coeffs[0, 0] = 0.02j * wave
+    omega = hs_state.omega + bump
+    msg = "{} has Fourier content outside the resolved band |k| <= 2"
+    with pytest.raises(ValueError, match=re.escape(msg.format("omega"))):
+        FlowState.make(grid, 0.0, omega, hs_state.phi)
+    phi = Form(2, 2, 0, hs_state.phi.coeffs + 0.02 * wave)
+    with pytest.raises(ValueError, match=re.escape(msg.format("phi"))):
+        FlowState.make(grid, 0.0, hs_state.omega, phi)
+    st = FlowState.make(grid, 0.0, grid.truncate(omega), hs_state.phi)
+    assert 0.0 < st.metric.margin < 1.0
 
-    outside = ~grid.dealias_mask
-    before = grid.fft(st.omega.coeffs)[..., outside]
-    after = grid.fft(new.omega.coeffs)[..., outside]
-    assert np.max(np.abs(after - before)) < 1e-13 * np.max(np.abs(before))
 
-    d_omega, d_phi = new.omega - st.omega, new.phi - st.phi
-    # not dropped: the step differs from the step of the band part alone ...
-    assert flat_l2(d_omega - (new_band_only.omega - band_only.omega)) > 1e-4 * flat_l2(d_omega)
-    assert flat_l2(d_phi - (new_band_only.phi - band_only.phi)) > 1e-4 * flat_l2(d_phi)
-    # ... and follows the velocities of the full state to first order in dt
-    w_rate = pluriclosed_rhs(grid, st.omega, st.metric)
-    p_rate = phi_rhs(grid, st.phi, metric=st.metric)
-    assert flat_l2(d_omega - dt * w_rate) < 1e-2 * flat_l2(d_omega)
-    assert flat_l2(d_phi - dt * p_rate) < 1e-2 * flat_l2(d_phi)
+@pytest.mark.parametrize("made", ["flat", "hs"])
+def test_make_keeps_its_forms_and_their_metric(grid, hs_state, made):
+    # the t=0 record of a made state reads these, so they keep their bits
+    src = flat_state(grid) if made == "flat" else hs_state
+    st = FlowState.make(grid, 0.0, src.omega, src.phi)
+    assert st.omega is src.omega and st.phi is src.phi
+    assert np.array_equal(st.metric.g, metric_of_form(src.omega).g)
 
 
 # ----------------------------------------------------------------------
@@ -253,21 +253,41 @@ def test_initial_data_start_on_the_band(monkeypatch, make, n, points, cutoff):
     step_rk4(grid, st, 1e-4)
     # neither the initial data nor the first step transforms the full grid
     assert calls == []
-    assert st.spectral.remainder is None
     omega_hat = st.spectral.omega_hat
     assert np.array_equal(omega_hat, grid.band_conjugate(omega_hat, 1, 1))
 
 
 @pytest.mark.parametrize("make, n, points, cutoff", BAND_NATIVE)
 def test_band_native_steps_match_the_remainder_route(make, n, points, cutoff):
+    # a state made from the physical forms of band-native data steps like it
     grid = TorusGrid(n, points)
     native = make(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
-    physical = FlowState.make(grid, 0.0, native.omega, native.phi)
+    made = FlowState.make(grid, 0.0, native.omega, native.phi)
     for _ in range(5):
-        native, physical = step_rk4(grid, native, 1e-3), step_rk4(grid, physical, 1e-3)
-    assert physical.spectral.remainder is not None
-    for a, b in ((native.omega, physical.omega), (native.phi, physical.phi)):
+        native, made = step_rk4(grid, native, 1e-3), step_rk4(grid, made, 1e-3)
+    for a, b in ((native.omega, made.omega), (native.phi, made.phi)):
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * np.max(np.abs(a.coeffs))
+
+
+@pytest.mark.parametrize("make, n, points, cutoff", BAND_NATIVE)
+def test_band_fields_per_step(monkeypatch, make, n, points, cutoff):
+    # scalar fields through to_band/from_band in one RK4 step, for band-native
+    # initial data and for a state made from its forms
+    grid = TorusGrid(n, points)
+    native = make(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
+    made = FlowState.make(grid, 0.0, native.omega, native.phi)
+    fields = []
+    for name in ("to_band", "from_band"):
+        def counted(self, arr, real=getattr(TorusGrid, name)):
+            lead = arr.shape[:arr.ndim - 2 * self.n]
+            fields.append(int(np.prod(lead)))
+            return real(self, arr)
+
+        monkeypatch.setattr(TorusGrid, name, counted)
+    for st in (native, made):
+        fields.clear()
+        step_rk4(grid, st, 1e-4)
+        assert sum(fields) == {2: 45, 3: 123}[n]
 
 
 def test_flow_state_validates(grid):

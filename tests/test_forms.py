@@ -237,6 +237,23 @@ def test_overflowing_det_is_a_positivity_loss(n, herm_tol):
 
 
 @pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@pytest.mark.parametrize("n, entry", [(2, 1e-160), (3, 1e-103)], ids=["n2", "n3"])
+def test_subnormal_det_is_a_positivity_loss(n, entry, herm_tol):
+    # a positive but subnormal det (1e-320, 1e-309) has no finite reciprocal:
+    # it fails Sylvester's check, with the eigenvalue-range margin, unwarned
+    g = np.empty((n, n, 4), dtype=np.complex128)
+    g[...] = np.eye(n)[:, :, None]
+    for i in range(n):
+        g[i, i, 2] = entry
+    assert 0.0 < np.prod(np.diag(g[:, :, 2]).real) < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityLostError) as info:
+            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+    assert info.value.margin == _eig_range(g, n)[0] == entry
+
+
+@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
 @pytest.mark.parametrize("bad", [
     (-1.0, -1.0),             # g00 fails; det > 0
     (1.0, -1.0, -1.0),        # the 2x2 leading minor fails; det > 0
