@@ -16,7 +16,7 @@ Band-limited data can also live on the resolved band alone: ``to_band`` keeps
 the (2 * cutoff + 1)**(2n) retained coefficients of a field in fftfreq order,
 ``from_band`` zero-pads them back to the grid, and derivatives, conjugation
 and the curvature multiplier act on band arrays directly.  The flow keeps its
-state there between RK4 stages.
+state there between RK4 stages and measures its residuals there.
 
 Transforms run through scipy.fft with its own worker default, so a caller
 picks the worker count with the ``scipy.fft.set_workers`` context manager
@@ -25,7 +25,7 @@ picks the worker count with the ``scipy.fft.set_workers`` context manager
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Optional
 
@@ -53,6 +53,7 @@ __all__ = [
     "codifferential_dbar",
     "chern_form",
     "residual_norms",
+    "residual_norms_hat",
     "random_band_limited",
 ]
 
@@ -416,21 +417,35 @@ def chern_form(grid: TorusGrid, metric: HermitianMetric) -> Form:
 
 
 def residual_norms(grid: TorusGrid, omega: Form, phi: Form) -> dict:
-    """Flat L^2 norms of the structural residuals of a state.
+    """Flat L^2 norms of the structural residuals of a state, from its physical fields.
 
+    The physical route: one forward transform of the full grid for each of
+    omega, phi and conj(phi), then ``residual_norms_hat`` on those
+    coefficients.  It reads any fields, band-limited or not; the flow's
+    records read the band coefficients their state already carries instead
+    (``flow.diagnostics_record``), and the two routes agree at roundoff on
+    band-limited states.
+    """
+    return residual_norms_hat(grid, grid.fft(omega.coeffs), grid.fft(phi.coeffs),
+                              grid.fft(conjugate(phi).coeffs))
+
+
+def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
+                       phibar_hat: np.ndarray, band: bool = False) -> dict:
+    """Flat L^2 norms of the structural residuals from Fourier coefficients.
+
+    The coefficients of omega, phi and conj(phi) cover the whole grid, or
+    the resolved band when ``band`` is set; either way they are the
+    unnormalized transform of the grid, so the norms come out the same.
     ``d_omega`` is the closedness defect of the combined real 2-form
     phi + omega + conj(phi): all four bidegree components of its exterior
     derivative are assembled explicitly and combined in quadrature.
     Diagnostic norms deliberately use the flat background pairing so they
-    stay meaningful even when the evolving metric degenerates.  Everything
-    is evaluated on Fourier coefficients: one forward transform per field,
-    derivatives as multipliers, and the norms by Parseval.
+    stay meaningful even when the evolving metric degenerates.  Derivatives
+    are multipliers and the norms come from Parseval.
     """
-    w_hat = grid.fft(omega.coeffs)
-    phi_hat = grid.fft(phi.coeffs)
-    phibar_hat = grid.fft(conjugate(phi).coeffs)
-    d = grid.derivative_hat
-    d_om = d(w_hat, 1, 1, anti=False)
+    d = partial(grid.derivative_hat, band=band)
+    d_om = d(omega_hat, 1, 1, anti=False)
 
     def flat_l2(chat: np.ndarray) -> float:
         if chat.size == 0:
@@ -443,7 +458,7 @@ def residual_norms(grid: TorusGrid, omega: Form, phi: Form) -> dict:
     closedness = (
         d_phi ** 2
         + hs ** 2
-        + flat_l2(d(w_hat, 1, 1, anti=True) + d(phibar_hat, 0, 2, anti=False)) ** 2
+        + flat_l2(d(omega_hat, 1, 1, anti=True) + d(phibar_hat, 0, 2, anti=False)) ** 2
         + flat_l2(d(phibar_hat, 0, 2, anti=True)) ** 2
     )
     return {

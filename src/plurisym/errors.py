@@ -13,8 +13,9 @@ class PositivityLostError(RuntimeError):
     """The (1,1) part of the evolving structure stopped being a metric.
 
     Raised when a candidate metric fails Sylvester's criterion (some leading
-    principal minor is not > 0 at some point), holds a non-finite entry or
-    has a determinant that overflows.  Carries the time, the margin (the
+    principal minor is not > 0 at some point), has no finite inverse (a
+    subnormal determinant or smallest eigenvalue), holds a non-finite entry
+    or has a determinant that overflows.  Carries the time, the margin (the
     candidate's smallest eigenvalue, nan for the last two), plus any
     diagnostics collected so far.
     """

@@ -33,7 +33,7 @@ from .calculus import (
     TorusGrid,
     global_inner_product,
     random_band_limited,
-    residual_norms,
+    residual_norms_hat,
 )
 from .config import FlowConfig, InitialSettings, check_mode_cutoff
 from .errors import ConstraintViolationError, PositivityLostError
@@ -340,15 +340,27 @@ def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilo
 # driving loop
 # ----------------------------------------------------------------------
 
+def _residuals(grid: TorusGrid, state: FlowState) -> dict:
+    """``residual_norms`` of a state, from the band coefficients it carries."""
+    sp = state.spectral
+    return residual_norms_hat(grid, sp.omega_hat, sp.phi_hat,
+                              grid.band_conjugate(sp.phi_hat, 2, 0), band=True)
+
+
 def diagnostics_record(grid: TorusGrid, state: FlowState) -> dict:
     """One monitoring record: time, volume, self-pairing, residuals, margin.
 
+    The four residual columns take the band route: the Parseval norms of
+    ``residual_norms_hat`` on the band coefficients of omega, phi and
+    conj(phi) in ``state.spectral``, so a record transforms nothing.  They
+    measure the state the integrator carries; the physical route,
+    ``calculus.residual_norms`` on the state's forms, agrees at roundoff.
     The margin is the smallest eigenvalue of the state's metric; this is where
     a sampled metric computes its eigenvalue range, which stage metrics never do.
     At n=3 that range runs eigvalsh only on the points whose shifted
     Sylvester minors do not certify them away from both extremes.
     """
-    res = residual_norms(grid, state.omega, state.phi)
+    res = _residuals(grid, state)
     return {
         "t": state.t,
         "V": volume_V(grid, state.omega, state.phi),
@@ -404,7 +416,7 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
         try:
             state = step_rk4(grid, state, config.dt)
         except PositivityLostError as err:
-            last = residual_norms(grid, state.omega, state.phi)
+            last = _residuals(grid, state)
             if not last["hs_constraint"] <= config.constraint_abort:
                 raise ConstraintViolationError(
                     f"positivity failed near t={state.t + config.dt:.6g} with the "

@@ -302,6 +302,11 @@ def _positive(det, *minors) -> bool:
             and all(bool(np.all(np.real(m) > 0.0)) for m in minors))
 
 
+def _finite(*arrays) -> bool:
+    """True when every entry of every array is finite."""
+    return all(bool(np.isfinite(a).all()) for a in arrays)
+
+
 def _hermitian3_minors(d0, d1, d2, n01, n02, n12, tri):
     """Leading minors of a Hermitian 3x3 stack, with the (0,0) cofactor.
 
@@ -335,7 +340,11 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     before anything divides by det, so a singular or indefinite block returns
     None without a floating-point warning.  The closed forms' products may
     overflow on finite entries; that det is not finite, and ``_positive``
-    raises PositivityLostError (margin nan) instead of warning.
+    raises PositivityLostError (margin nan) instead of warning.  A normal det
+    does not yet bound the inverse: a smallest eigenvalue near the subnormal
+    range overflows it.  So the diagonal of the inverse is computed first and
+    must be finite, or the result is None; it bounds every other entry, since
+    |ginv_ij|^2 <= ginv_ii ginv_jj for a positive definite inverse.
 
     ``hermitian`` promises g == g^H exactly.  The real determinant and the
     inverse are then read off the real diagonal and the upper triangle: for
@@ -351,9 +360,12 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         if not _positive(det, a):
             return None
         inv_det = 1.0 / det
+        with np.errstate(over="ignore"):
+            diag = (d * inv_det, a * inv_det)
+        if not _finite(*diag):
+            return None
         ginv = np.empty_like(g)
-        ginv[0, 0] = d * inv_det
-        ginv[1, 1] = a * inv_det
+        ginv[0, 0], ginv[1, 1] = diag
         ginv[0, 1] = -b * inv_det
         ginv[1, 0] = np.conj(ginv[0, 1])
         return det, ginv
@@ -363,9 +375,12 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         if not _positive(det, g[0, 0]):
             return None
         inv_det = 1.0 / det
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = (g[1, 1] * inv_det, g[0, 0] * inv_det)
+        if not _finite(*diag):
+            return None
         ginv = np.empty_like(g)
-        ginv[0, 0] = g[1, 1] * inv_det
-        ginv[1, 1] = g[0, 0] * inv_det
+        ginv[0, 0], ginv[1, 1] = diag
         ginv[0, 1] = -g[0, 1] * inv_det
         ginv[1, 0] = -g[1, 0] * inv_det
         return det, ginv
@@ -378,10 +393,12 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         if not _positive(det, d0, lead2):
             return None
         inv_det = 1.0 / det
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = (c00 * inv_det, (d0 * d2 - norms[1]) * inv_det, lead2 * inv_det)
+        if not _finite(*diag):
+            return None
         ginv = np.empty_like(g)
-        ginv[0, 0] = c00 * inv_det
-        ginv[1, 1] = (d0 * d2 - norms[1]) * inv_det
-        ginv[2, 2] = lead2 * inv_det
+        ginv[0, 0], ginv[1, 1], ginv[2, 2] = diag
         ginv[0, 1] = (u02 * np.conj(u12) - u01 * d2) * inv_det
         ginv[0, 2] = (u01 * u12 - u02 * d1) * inv_det
         ginv[1, 2] = (u02 * np.conj(u01) - d0 * u12) * inv_det
@@ -398,22 +415,26 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
             lead2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
         if not _positive(det, g[0, 0], lead2):
             return None
-        adj = np.empty_like(g)
-        adj[0, 0] = c00
-        adj[1, 0] = c01
-        adj[2, 0] = c02
-        adj[0, 1] = g[0, 2] * g[2, 1] - g[0, 1] * g[2, 2]
-        adj[1, 1] = g[0, 0] * g[2, 2] - g[0, 2] * g[2, 0]
-        adj[2, 1] = g[0, 1] * g[2, 0] - g[0, 0] * g[2, 1]
-        adj[0, 2] = g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]
-        adj[1, 2] = g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]
-        adj[2, 2] = lead2
-        return det, adj / det
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = (c00 / det, (g[0, 0] * g[2, 2] - g[0, 2] * g[2, 0]) / det, lead2 / det)
+        if not _finite(*diag):
+            return None
+        ginv = np.empty_like(g)
+        ginv[0, 0], ginv[1, 1], ginv[2, 2] = diag
+        ginv[1, 0] = c01 / det
+        ginv[2, 0] = c02 / det
+        ginv[0, 1] = (g[0, 2] * g[2, 1] - g[0, 1] * g[2, 2]) / det
+        ginv[2, 1] = (g[0, 1] * g[2, 0] - g[0, 0] * g[2, 1]) / det
+        ginv[0, 2] = (g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]) / det
+        ginv[1, 2] = (g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]) / det
+        return det, ginv
     stacked = np.moveaxis(g, (0, 1), (-2, -1))
     det = np.linalg.det(stacked)
     if not _positive(det, *(np.linalg.det(stacked[..., :k, :k]) for k in range(1, n))):
         return None
     ginv = np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
+    if not _finite(*(ginv[i, i] for i in range(n))):
+        return None
     return det, ginv
 
 
@@ -554,8 +575,10 @@ class HermitianMetric:
         the upper one by construction.
         Raises PositivityLostError, carrying the smallest eigenvalue as its
         margin, when g is not positive definite at every point by Sylvester's
-        criterion or its determinant is subnormal somewhere, and with margin
-        nan when g holds a non-finite entry or its determinant overflows.
+        criterion, its determinant is subnormal somewhere or its inverse
+        overflows (a smallest eigenvalue near the subnormal range), and with
+        margin nan when g holds a non-finite entry or its determinant
+        overflows.
         """
         g = np.asarray(g, dtype=np.complex128)
         n = g.shape[0]

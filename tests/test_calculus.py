@@ -87,17 +87,10 @@ def test_derivative_of_coordinate_waves():
     [(n, points, p, q) for n, points in ((2, 8), (3, 4))
      for p in range(n + 1) for q in range(n + 1)],
 )
-def test_derivatives_match_del_and_dbar_bitwise(monkeypatch, n, points, p, q):
+def test_derivatives_match_del_and_dbar_bitwise(count_fields, n, points, p, q):
     grid = TorusGrid(n, points)
     a = random_field(grid, np.random.default_rng(10 * p + q), p, q)
-    forward = []
-    real_fft = TorusGrid.fft
-
-    def counted(self, arr):
-        forward.append(arr.shape)
-        return real_fft(self, arr)
-
-    monkeypatch.setattr(TorusGrid, "fft", counted)
+    forward = count_fields("fft")
     da, ba = grid.derivatives(a)
     # one forward transform, and none when both parts are empty
     assert len(forward) == (0 if (p, q) == (n, n) else 1)

@@ -10,6 +10,7 @@ from plurisym.calculus import (
     chern_form,
     codifferential_dbar,
     codifferential_del,
+    random_band_limited,
     residual_norms,
 )
 from plurisym.errors import ConfigError, ConstraintViolationError, PositivityLostError
@@ -240,15 +241,9 @@ BAND_NATIVE = [
 
 
 @pytest.mark.parametrize("make, n, points, cutoff", BAND_NATIVE)
-def test_initial_data_start_on_the_band(monkeypatch, make, n, points, cutoff):
+def test_initial_data_start_on_the_band(count_fields, make, n, points, cutoff):
     grid = TorusGrid(n, points)
-    calls = []
-    for name in ("fft", "ifft"):
-        def counted(self, arr, real=getattr(TorusGrid, name), name=name):
-            calls.append(name)
-            return real(self, arr)
-
-        monkeypatch.setattr(TorusGrid, name, counted)
+    calls = count_fields("fft", "ifft")
     st = make(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
     step_rk4(grid, st, 1e-4)
     # neither the initial data nor the first step transforms the full grid
@@ -270,20 +265,13 @@ def test_band_native_steps_match_the_remainder_route(make, n, points, cutoff):
 
 
 @pytest.mark.parametrize("make, n, points, cutoff", BAND_NATIVE)
-def test_band_fields_per_step(monkeypatch, make, n, points, cutoff):
+def test_band_fields_per_step(count_fields, make, n, points, cutoff):
     # scalar fields through to_band/from_band in one RK4 step, for band-native
     # initial data and for a state made from its forms
     grid = TorusGrid(n, points)
     native = make(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
     made = FlowState.make(grid, 0.0, native.omega, native.phi)
-    fields = []
-    for name in ("to_band", "from_band"):
-        def counted(self, arr, real=getattr(TorusGrid, name)):
-            lead = arr.shape[:arr.ndim - 2 * self.n]
-            fields.append(int(np.prod(lead)))
-            return real(self, arr)
-
-        monkeypatch.setattr(TorusGrid, name, counted)
+    fields = count_fields("to_band", "from_band")
     for st in (native, made):
         fields.clear()
         step_rk4(grid, st, 1e-4)
@@ -374,6 +362,61 @@ def test_nan_in_phi_aborts_as_constraint_violation(grid, hs_state):
     with pytest.raises(ConstraintViolationError) as info:
         run_flow(grid, broken, FlowConfig(dt=1e-4, steps=15, sample_every=5))
     assert len(info.value.records) == 1
+
+
+@pytest.mark.parametrize("n, points, cutoff", [(2, 8, 2), (3, 4, 1)], ids=["n2", "n3"])
+def test_run_flow_transforms_no_full_grid(count_fields, n, points, cutoff):
+    # the step works on the band and the records read the state's band
+    # coefficients, so neither transforms the full grid
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
+    calls = count_fields("fft", "ifft")
+    out = run_flow(grid, st, FlowConfig(dt=1e-4, steps=2, sample_every=1))
+    assert len(out.records) == 3
+    assert calls == []
+
+
+RESIDUAL_COLUMNS = {
+    "d_omega": "d_omega_residual",
+    "hs_constraint": "hs_constraint_residual",
+    "del_phi": "del_phi_residual",
+    "pluriclosed": "pluriclosed_residual",
+}
+
+
+@pytest.mark.parametrize("make", [make_initial_hs, make_initial_kahler],
+                         ids=["hs", "kahler"])
+@pytest.mark.parametrize("n, points, cutoff", [(2, 8, 2), (2, 16, 2), (3, 4, 1)],
+                         ids=["n2-N8", "n2-N16", "n3-N4"])
+def test_record_residuals_match_the_physical_route(make, n, points, cutoff):
+    # the band route of diagnostics_record against residual_norms on the
+    # state's forms: initial data, a state made from its forms, 3 RK4 steps
+    grid = TorusGrid(n, points)
+    native = make(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
+    stepped = native
+    for _ in range(3):
+        stepped = step_rk4(grid, stepped, 1e-4)
+    for st in (native, FlowState.make(grid, 0.0, native.omega, native.phi), stepped):
+        rec = diagnostics_record(grid, st)
+        phys = residual_norms(grid, st.omega, st.phi)
+        for key, column in RESIDUAL_COLUMNS.items():
+            assert abs(rec[column] - phys[key]) <= 1e-12, key
+
+
+def test_record_sees_a_non_closed_bump():
+    # negative control of the band route: the non-closed bump of criterion 6,
+    # taken in through FlowState.make, breaks the coupling constraint
+    grid = TorusGrid(2, 16)
+    first = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=2)
+    rng = np.random.default_rng(5)
+    bad = Form.zeros(2, 1, 1, grid.shape)
+    bad.coeffs[0, 1] = 5e-3 * random_band_limited(grid, rng, 2)
+    bad = bad + conjugate(bad)
+    broken = FlowState.make(grid, 0.0, first.omega + bad, first.phi)
+    band = diagnostics_record(grid, broken)["hs_constraint_residual"]
+    phys = residual_norms(grid, broken.omega, broken.phi)["hs_constraint"]
+    assert band > 1e-3
+    assert abs(band - phys) <= 1e-10 * phys
 
 
 def test_positivity_error_passes_through_with_records(grid, hs_state, monkeypatch):

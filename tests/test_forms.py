@@ -254,6 +254,25 @@ def test_subnormal_det_is_a_positivity_loss(n, entry, herm_tol):
 
 
 @pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+def test_overflowing_inverse_is_a_positivity_loss(n, herm_tol):
+    # det is normal (1e-210) but the smallest eigenvalue is subnormal, so the
+    # inverse overflows: a positivity loss with the eigenvalue-range margin,
+    # raised without a warning
+    g = np.empty((n, n, 4), dtype=np.complex128)
+    g[...] = np.eye(n)[:, :, None]
+    g[0, 0, 2] = 1e100
+    g[n - 1, n - 1, 2] = 1e-310
+    assert np.prod(np.diag(g[:, :, 2]).real) >= np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityLostError) as info:
+            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+        assert info.value.margin == _eig_range(g, n)[0]
+    assert 0.0 <= info.value.margin <= 1e-300
+
+
+@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
 @pytest.mark.parametrize("bad", [
     (-1.0, -1.0),             # g00 fails; det > 0
     (1.0, -1.0, -1.0),        # the 2x2 leading minor fails; det > 0
