@@ -16,17 +16,20 @@ Band-limited data can also live on the resolved band alone: ``to_band`` keeps
 the (2 * cutoff + 1)**(2n) retained coefficients of a field in fftfreq order,
 ``from_band`` zero-pads them back to the grid, and derivatives, conjugation
 and the curvature multiplier act on band arrays directly.  The flow keeps its
-state there between RK4 stages and measures its residuals there.
+state there between RK4 stages and measures its residuals there.  Band
+transforms are dense per-axis DFT matrix products (BLAS), which beat the FFT
+at these band widths (Boyd 2001, ch. 10).
 
-Transforms run through scipy.fft with its own worker default, so a caller
-picks the worker count with the ``scipy.fft.set_workers`` context manager
-(the CLI does so for the PLURISYM_THREADS environment variable).
+Full-grid transforms (``fft``/``ifft``) run through scipy.fft with its own
+worker default, so a caller picks their worker count with the
+``scipy.fft.set_workers`` context manager (the CLI does so for the
+PLURISYM_THREADS environment variable); band transforms follow BLAS's own
+thread setting.  Neither setting changes a bit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -97,7 +100,7 @@ def _insertion_table(n: int, p: int, q: int, anti: bool):
 
 
 class TorusGrid:
-    """Uniform periodic grid with cached Fourier multipliers and masks."""
+    """Uniform periodic grid with cached Fourier multipliers and band transform matrices."""
 
     def __init__(self, n: int, points: int):
         if points < 4:
@@ -122,28 +125,22 @@ class TorusGrid:
             self.mz.append(np.pi * (ky + 1j * kx))
             self.mzbar.append(np.pi * (-ky + 1j * kx))
         self.dealias_cutoff = points // 3
-        self.dealias_mask = self.cutoff_mask(self.dealias_cutoff)
         # the resolved band: per axis the frequencies 0..c and -c..-1, in
         # fftfreq order, so negating a frequency is index m -> -m mod (2c + 1)
         c = self.dealias_cutoff
         keep = np.r_[0:c + 1, points - c:points]
         width = 2 * c + 1
         self.band_shape = (width,) * (2 * n)
-        # where the band sits in n consecutive axes: flat positions in the
-        # n-axis half grid, and (grid slices, band slices) of its 2^n blocks;
-        # and the flat position of -k inside the band
-        self._half_band_flat = np.ravel_multi_index(
-            np.meshgrid(*[keep] * n, indexing="ij"), (points,) * n).ravel()
-        halves = [(slice(0, c + 1), slice(0, c + 1)),
-                  (slice(points - c, points), slice(c + 1, width))]
-        self._band_blocks = [
-            (tuple(g for g, _ in pick), tuple(b for _, b in pick))
-            for pick in product(halves, repeat=n)
-        ]
+        kb = self._kband = k[keep]
+        # per-axis DFT matrices between the grid and the band, phases from the
+        # exact integer k * j mod points: forward F (width x points),
+        # unnormalized, and inverse G (points x width) with its 1/points
+        phase = np.outer(kb.astype(np.int64), np.arange(points)) % points
+        self._band_fwd = np.exp((-2j * np.pi / points) * phase)
+        self._band_inv = np.ascontiguousarray(np.conj(self._band_fwd).T) / points
         neg = (-np.arange(width)) % width
         self._band_neg = np.ravel_multi_index(
             np.meshgrid(*[neg] * (2 * n), indexing="ij"), self.band_shape).ravel()
-        kb = self._kband = k[keep]
 
         def band_along(a):
             s = [1] * (2 * n)
@@ -180,65 +177,31 @@ class TorusGrid:
         return sfft.ifftn(arr, axes=self.axes)
 
     def to_band(self, arr: np.ndarray) -> np.ndarray:
-        """Fourier coefficients of a field (trailing grid axes) on the resolved band.
-
-        Leading component axes are looped over, one scalar field per
-        transform: the same bits as one call batched over them, and less
-        time at the flow's grid sizes.
-        """
-        lead = arr.shape[:arr.ndim - 2 * self.n]
-        if not lead:
-            return self._scalar_to_band(arr)
-        out = np.empty(lead + self.band_shape, dtype=np.complex128)
-        for idx in np.ndindex(*lead):
-            out[idx] = self._scalar_to_band(arr[idx])
-        return out
+        """Fourier coefficients of a field (trailing grid axes) on the resolved band."""
+        return self._per_axis(self._band_fwd, arr, self.band_shape)
 
     def from_band(self, band: np.ndarray) -> np.ndarray:
-        """Physical field of band coefficients, zero outside the band.
+        """Physical field of band coefficients, zero outside the band."""
+        return self._per_axis(self._band_inv, band, self.shape)
 
-        One scalar field per transform, as in ``to_band``.
+    def _per_axis(self, mat: np.ndarray, arr: np.ndarray, shape: tuple) -> np.ndarray:
+        """Apply ``mat`` along each trailing axis, one scalar field at a time.
+
+        ``mat @ y.reshape(-1, k).T`` contracts the last axis and puts the new
+        one first, C-contiguous; after 2n products the axes are back in order
+        and BLAS read every transposed operand through a flag, with no
+        transpose copy.  The last product writes straight into the output.
+        Leading component axes are looped over.
         """
-        lead = band.shape[:band.ndim - 2 * self.n]
-        if not lead:
-            return self._scalar_from_band(band)
-        out = np.empty(lead + self.shape, dtype=np.complex128)
+        lead = arr.shape[:arr.ndim - 2 * self.n]
+        out = np.empty(lead + shape, dtype=np.complex128)
+        k = mat.shape[1]
         for idx in np.ndindex(*lead):
-            out[idx] = self._scalar_from_band(band[idx])
+            y = arr[idx]
+            for _ in range(2 * self.n - 1):
+                y = mat @ y.reshape(-1, k).T
+            np.matmul(mat, y.reshape(-1, k).T, out=out[idx].reshape(shape[0], -1))
         return out
-
-    def _scalar_to_band(self, arr: np.ndarray) -> np.ndarray:
-        """Band coefficients of one scalar field.
-
-        Transforms the last n axes, drops the modes outside the band there,
-        and only then transforms the first n axes, so no transform runs along
-        lines whose coefficients are all discarded.
-        """
-        n = self.n
-        half = self.points ** n
-        inner = sfft.fftn(arr, axes=self.axes[n:])
-        inner = inner.reshape(self.shape[:n] + (half,)).take(self._half_band_flat, axis=-1)
-        outer = sfft.fftn(inner, axes=tuple(range(n)))
-        outer = outer.reshape(half, -1).take(self._half_band_flat, axis=0)
-        return outer.reshape(self.band_shape)
-
-    def _scalar_from_band(self, band: np.ndarray) -> np.ndarray:
-        """Physical field of one scalar's band coefficients.
-
-        Zero-pads and transforms the first n axes while the last n still have
-        band width, and only then pads and transforms the last n axes, so no
-        transform runs along lines that are all zero.
-        """
-        n = self.n
-        inner = np.zeros(self.shape[:n] + self.band_shape[n:], dtype=np.complex128)
-        rest = (slice(None),) * n
-        for grid_block, band_block in self._band_blocks:
-            inner[grid_block + rest] = band[band_block + rest]
-        inner = sfft.ifftn(inner, axes=tuple(range(n)), overwrite_x=True)
-        full = np.zeros(self.shape, dtype=np.complex128)
-        for grid_block, band_block in self._band_blocks:
-            full[rest + grid_block] = inner[rest + band_block]
-        return sfft.ifftn(full, axes=self.axes[n:], overwrite_x=True)
 
     def band_conjugate(self, chat: np.ndarray, p: int, q: int) -> np.ndarray:
         """Band coefficients of conj of a (p,q)-form: sign (-1)^(pq) * conj(F(-k)), swapped."""
@@ -350,7 +313,8 @@ class TorusGrid:
     def truncate(self, a: Form) -> Form:
         """Project a field onto the resolved band."""
         self._check_field(a)
-        return Form(a.n, a.p, a.q, self.ifft(self.fft(a.coeffs) * self.dealias_mask))
+        mask = self.cutoff_mask(self.dealias_cutoff)
+        return Form(a.n, a.p, a.q, self.ifft(self.fft(a.coeffs) * mask))
 
 
 # ----------------------------------------------------------------------
@@ -446,12 +410,13 @@ def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarr
     """
     d = partial(grid.derivative_hat, band=band)
     d_om = d(omega_hat, 1, 1, anti=False)
+    size = grid.points ** (2 * grid.n)
 
     def flat_l2(chat: np.ndarray) -> float:
         if chat.size == 0:
             return 0.0
         # Parseval: the grid mean of |f|^2 is sum |F|^2 / size^2
-        return float(np.sqrt(np.sum(chat.real ** 2 + chat.imag ** 2))) / grid.dealias_mask.size
+        return float(np.sqrt(np.sum(chat.real ** 2 + chat.imag ** 2))) / size
 
     hs = flat_l2(d_om + d(phi_hat, 2, 0, anti=True))
     d_phi = flat_l2(d(phi_hat, 2, 0, anti=False))

@@ -83,15 +83,24 @@ class FlowState:
 
     ``spectral`` is the band representation of the state, the first stage of
     its next step.  For states from the initial-data functions and from
-    step_rk4 the forms are the physical fields of that stage; treat them as
-    read-only.  A state from ``make`` keeps the forms it was given.
+    step_rk4 the forms are the physical fields of that stage, phi computed
+    on its first read; treat them as read-only.  A state from ``make`` keeps
+    the forms it was given.
     """
 
     t: float
     omega: Form
-    phi: Form
     metric: HermitianMetric
     spectral: _Stage
+    grid: TorusGrid
+    _phi: Optional[Form] = None
+
+    @property
+    def phi(self) -> Form:
+        """The physical (2,0)-form; a band-native state computes it on first read."""
+        if self._phi is None:
+            self._phi = Form(self.grid.n, 2, 0, self.grid.from_band(self.spectral.phi_hat))
+        return self._phi
 
     @classmethod
     def make(cls, grid: TorusGrid, t: float, omega: Form, phi: Form) -> "FlowState":
@@ -129,7 +138,7 @@ class FlowState:
                 )
         omega_hat, phi_hat = hats
         omega_hat = 0.5 * (omega_hat + grid.band_conjugate(omega_hat, 1, 1))
-        return cls(float(t), omega, phi, metric, _band_stage(grid, omega_hat, phi_hat))
+        return cls(float(t), omega, metric, _band_stage(grid, omega_hat, phi_hat), grid, phi)
 
 
 class Sample(NamedTuple):
@@ -237,9 +246,8 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     sixth = dt / 6.0
     end = _band_stage(grid, w0 + sixth * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4),
                       p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4))
-    n = grid.n
-    return FlowState(state.t + dt, Form(n, 1, 1, 1j * end.metric.g),
-                     Form(n, 2, 0, grid.from_band(end.phi_hat)), end.metric, end)
+    return FlowState(state.t + dt, Form(grid.n, 1, 1, 1j * end.metric.g), end.metric, end,
+                     grid)
 
 
 def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric, safety: float) -> float:
@@ -278,8 +286,7 @@ def _initial_state(grid: TorusGrid, epsilon: float, omega_raw: np.ndarray,
     omega_hat[(diag, diag) + (0,) * (2 * n)] += 1j * grid.points ** (2 * n)
     phi_hat = scale * phi_raw
     stage = _band_stage(grid, omega_hat, phi_hat)
-    return FlowState(0.0, Form(n, 1, 1, 1j * stage.metric.g),
-                     Form(n, 2, 0, grid.from_band(phi_hat)), stage.metric, stage)
+    return FlowState(0.0, Form(n, 1, 1, 1j * stage.metric.g), stage.metric, stage, grid)
 
 
 def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,

@@ -163,6 +163,64 @@ def test_truncate_removes_only_high_modes():
 
 
 # ----------------------------------------------------------------------
+# band transforms
+# ----------------------------------------------------------------------
+
+# odd and non-power-of-two grids included
+BAND_GRIDS = [(2, 8), (2, 9), (2, 16), (3, 6), (3, 8)]
+
+
+def band_index(grid):
+    """Index of the resolved band inside the grid's Fourier coefficients."""
+    c = grid.dealias_cutoff
+    keep = np.r_[0:c + 1, grid.points - c:grid.points]
+    return (slice(None),) + np.ix_(*[keep] * (2 * grid.n))
+
+
+def random_fields(grid, real, count=2):
+    rng = np.random.default_rng(grid.points)
+    f = rng.standard_normal((count,) + grid.shape)
+    return f if real else f + 1j * rng.standard_normal(f.shape)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n, points", BAND_GRIDS)
+def test_to_band_is_the_grid_fft_on_the_band(n, points, real):
+    grid = TorusGrid(n, points)
+    f = random_fields(grid, real)
+    ref = grid.fft(f)[band_index(grid)]
+    band = grid.to_band(f)
+    assert band.shape == (2,) + grid.band_shape
+    assert np.max(np.abs(band - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n, points", BAND_GRIDS)
+def test_from_band_is_the_zero_padded_grid_ifft(n, points, real):
+    # "real": the band coefficients of a real field
+    grid = TorusGrid(n, points)
+    band = grid.fft(random_fields(grid, real))[band_index(grid)]
+    padded = np.zeros((2,) + grid.shape, dtype=np.complex128)
+    padded[band_index(grid)] = band
+    ref = grid.ifft(padded)
+    assert np.max(np.abs(grid.from_band(band) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_flat_metric_from_the_band_is_exact():
+    # only k=0 set: every entry of the inverse matrix's first column is 1/16
+    grid = TorusGrid(2, 16)
+    omega_hat = np.zeros((2, 2) + grid.band_shape, dtype=np.complex128)
+    for i in range(2):
+        omega_hat[(i, i) + (0,) * 4] = 1j * grid.points ** 4
+    g = grid.hermitian_from_band(-1j * omega_hat)
+    assert np.array_equal(g, np.broadcast_to(np.eye(2)[:, :, None, None, None, None],
+                                             g.shape))
+    const = np.zeros(grid.band_shape, dtype=np.complex128)
+    const[(0,) * 4] = (0.75 - 2.5j) * grid.points ** 4
+    assert np.array_equal(grid.from_band(const), np.full(grid.shape, 0.75 - 2.5j))
+
+
+# ----------------------------------------------------------------------
 # integration
 # ----------------------------------------------------------------------
 

@@ -88,6 +88,25 @@ def test_flow_reruns_are_byte_identical(tmp_path, monkeypatch, command, override
     assert b"\r" not in blobs[0]
 
 
+def test_flow_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # band transforms are BLAS products; at N=16 they are large enough for
+    # OpenBLAS to split them over threads, which must not change a bit
+    cfg = write_config(tmp_path, grid=16, initial={"mode_cutoff": 2},
+                       flow={"steps": 10, "sample_every": 5})
+    root = Path(__file__).resolve().parents[1]
+    blobs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run([sys.executable, "-m", "plurisym.cli", "flow", "--config", cfg,
+                               "--output", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_flow_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path)
     base, seeded = tmp_path / "base.csv", tmp_path / "seeded.csv"
