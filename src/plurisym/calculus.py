@@ -29,7 +29,7 @@ thread setting.  Neither setting changes a bit.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -252,19 +252,20 @@ class TorusGrid:
         if a.payload != self.shape:
             raise ValueError(f"form payload {a.payload} does not match grid {self.shape}")
 
-    def derivative_hat(self, chat: np.ndarray, p: int, q: int, anti: bool,
-                       band: bool = False) -> np.ndarray:
+    def derivative_hat(self, chat: np.ndarray, p: int, q: int, anti: bool) -> np.ndarray:
         """Apply d (anti=False) or dbar (anti=True) to spectral (p,q) coefficients.
 
-        The coefficients cover the whole grid, or the resolved band when
-        ``band`` is set.
+        The coefficients cover the whole grid or the resolved band, told apart
+        by their trailing shape; any other shape raises ValueError.
         """
         n = self.n
         pp, qq = (p, q + 1) if anti else (p + 1, q)
-        if band:
+        if chat.shape[2:] == self.band_shape:
             mult = self.band_mzbar if anti else self.band_mz
-        else:
+        elif chat.shape[2:] == self.shape:
             mult = self.mzbar if anti else self.mz
+        else:
+            raise ValueError(f"coefficients {chat.shape[2:]} cover neither the grid nor the band")
         out = np.zeros((_basis_dim(n, pp), _basis_dim(n, qq)) + chat.shape[2:],
                        dtype=np.complex128)
         for c, ii, ij, oi, oj, sign in _insertion_table(n, p, q, anti):
@@ -395,12 +396,12 @@ def residual_norms(grid: TorusGrid, omega: Form, phi: Form) -> dict:
 
 
 def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
-                       phibar_hat: np.ndarray, band: bool = False) -> dict:
+                       phibar_hat: np.ndarray) -> dict:
     """Flat L^2 norms of the structural residuals from Fourier coefficients.
 
-    The coefficients of omega, phi and conj(phi) cover the whole grid, or
-    the resolved band when ``band`` is set; either way they are the
-    unnormalized transform of the grid, so the norms come out the same.
+    The coefficients of omega, phi and conj(phi) cover the whole grid or
+    the resolved band; either way they are the unnormalized transform of
+    the grid, so the norms come out the same.
     ``d_omega`` is the closedness defect of the combined real 2-form
     phi + omega + conj(phi): all four bidegree components of its exterior
     derivative are assembled explicitly and combined in quadrature.
@@ -408,7 +409,7 @@ def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarr
     stay meaningful even when the evolving metric degenerates.  Derivatives
     are multipliers and the norms come from Parseval.
     """
-    d = partial(grid.derivative_hat, band=band)
+    d = grid.derivative_hat
     d_om = d(omega_hat, 1, 1, anti=False)
     size = grid.points ** (2 * grid.n)
 

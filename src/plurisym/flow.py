@@ -178,13 +178,12 @@ def _velocities(grid: TorusGrid, metric: HermitianMetric,
     omega_vel = phi_vel = None
     if del_omega is not None:
         a = metric_trace(Form(n, 2, 1, del_omega), metric)          # (1,0)
-        c_hat = grid.derivative_hat(grid.to_band(a.coeffs), 1, 0, anti=True, band=True)
+        c_hat = grid.derivative_hat(grid.to_band(a.coeffs), 1, 0, anti=True)
         c_hat += 0.5 * (grid.ddbar_band * grid.to_band(np.log(metric.det)))
         omega_vel = c_hat + grid.band_conjugate(c_hat, 1, 1)
     if dbar_phi is not None:
         traced = metric_trace(Form(n, 2, 1, dbar_phi), metric)     # (1,0)
-        phi_vel = -grid.derivative_hat(grid.to_band(traced.coeffs), 1, 0,
-                                       anti=False, band=True)
+        phi_vel = -grid.derivative_hat(grid.to_band(traced.coeffs), 1, 0, anti=False)
     return omega_vel, phi_vel
 
 
@@ -213,12 +212,12 @@ def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray) -> 
     """Physical stage fields of a band state; builds (and checks) the metric.
 
     ``hermitian_from_band`` makes the metric block Hermitian to the last bit,
-    so the metric skips the Hermiticity scan (``herm_tol=None``); positivity
-    is always enforced.
+    so the metric keeps it with no Hermiticity scan or copy (``herm_tol=None``);
+    positivity is always enforced.
     """
     g = grid.hermitian_from_band(-1j * omega_hat)
-    del_omega = grid.from_band(grid.derivative_hat(omega_hat, 1, 1, anti=False, band=True))
-    dbar_phi = grid.from_band(grid.derivative_hat(phi_hat, 2, 0, anti=True, band=True))
+    del_omega = grid.from_band(grid.derivative_hat(omega_hat, 1, 1, anti=False))
+    dbar_phi = grid.from_band(grid.derivative_hat(phi_hat, 2, 0, anti=True))
     metric = HermitianMetric.from_matrix(g, herm_tol=None)
     return _Stage(omega_hat, phi_hat, metric, del_omega, dbar_phi)
 
@@ -317,8 +316,8 @@ def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
         zeta[i, 0] = random_band_limited(grid, rng, mode_cutoff, real=False, band=True)
     # phi_raw is the (2,0) part of d(zeta + conj(zeta)), the (1,1) part is
     # mixed + conj(mixed), exactly real
-    phi_raw = grid.derivative_hat(zeta, 1, 0, anti=False, band=True)
-    mixed = grid.derivative_hat(zeta, 1, 0, anti=True, band=True)
+    phi_raw = grid.derivative_hat(zeta, 1, 0, anti=False)
+    mixed = grid.derivative_hat(zeta, 1, 0, anti=True)
     return _initial_state(grid, epsilon, mixed + grid.band_conjugate(mixed, 1, 1), phi_raw)
 
 
@@ -336,8 +335,8 @@ def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilo
     check_mode_cutoff(mode_cutoff, grid.points)
     rng = np.random.default_rng(seed)
     u = random_band_limited(grid, rng, mode_cutoff, band=True)
-    du = grid.derivative_hat(u[None, None], 0, 0, anti=False, band=True)
-    pert = -1j * grid.derivative_hat(du, 1, 0, anti=True, band=True)
+    du = grid.derivative_hat(u[None, None], 0, 0, anti=False)
+    pert = -1j * grid.derivative_hat(du, 1, 0, anti=True)
     omega_raw = 0.5 * (pert + grid.band_conjugate(pert, 1, 1))
     return _initial_state(grid, epsilon, omega_raw,
                           Form.zeros(grid.n, 2, 0, grid.band_shape).coeffs)
@@ -351,7 +350,7 @@ def _residuals(grid: TorusGrid, state: FlowState) -> dict:
     """``residual_norms`` of a state, from the band coefficients it carries."""
     sp = state.spectral
     return residual_norms_hat(grid, sp.omega_hat, sp.phi_hat,
-                              grid.band_conjugate(sp.phi_hat, 2, 0), band=True)
+                              grid.band_conjugate(sp.phi_hat, 2, 0))
 
 
 def diagnostics_record(grid: TorusGrid, state: FlowState) -> dict:

@@ -283,10 +283,6 @@ def form_power(a: Form, k: int, payload: Tuple[int, ...] = ()) -> Form:
 # Hermitian metrics
 # ======================================================================
 
-def _swap_conj(g: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(g, 0, 1))
-
-
 def _positive(det, *minors) -> bool:
     """True when det is at least the smallest normal float and every minor is > 0.
 
@@ -329,7 +325,7 @@ def _off_diagonal_terms(u01, u02, u12):
     return tuple(u.real * u.real + u.imag * u.imag for u in (u01, u02, u12)), tri
 
 
-def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
+def _positive_det_inv(g: np.ndarray, n: int):
     """Determinant and inverse of an (n,n,*payload) stack, or None unless positive definite.
 
     Positivity is Sylvester's criterion: every leading principal minor is
@@ -346,14 +342,12 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
     must be finite, or the result is None; it bounds every other entry, since
     |ginv_ij|^2 <= ginv_ii ginv_jj for a positive definite inverse.
 
-    ``hermitian`` promises g == g^H exactly.  The real determinant and the
-    inverse are then read off the real diagonal and the upper triangle: for
-    n=2 from the upper entry, for n=3 from the minors of
-    ``_hermitian3_minors``, two more real diagonal cofactors and the three
-    complex upper adjugate entries; the inverse's lower triangle is the
-    conjugate of its upper one.
+    g is Hermitian to the last bit, as every ``HermitianMetric`` block is,
+    so the closed forms read the real determinant and the inverse off its
+    real diagonal and upper triangle (for n=3 through ``_hermitian3_minors``);
+    the inverse's lower triangle is the conjugate of its upper one.
     """
-    if n == 2 and hermitian:
+    if n == 2:
         a, d, b = g[0, 0].real, g[1, 1].real, g[0, 1]
         with np.errstate(over="ignore", invalid="ignore"):
             det = a * d - (b.real * b.real + b.imag * b.imag)
@@ -369,22 +363,7 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         ginv[0, 1] = -b * inv_det
         ginv[1, 0] = np.conj(ginv[0, 1])
         return det, ginv
-    if n == 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        if not _positive(det, g[0, 0]):
-            return None
-        inv_det = 1.0 / det
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag = (g[1, 1] * inv_det, g[0, 0] * inv_det)
-        if not _finite(*diag):
-            return None
-        ginv = np.empty_like(g)
-        ginv[0, 0], ginv[1, 1] = diag
-        ginv[0, 1] = -g[0, 1] * inv_det
-        ginv[1, 0] = -g[1, 0] * inv_det
-        return det, ginv
-    if n == 3 and hermitian:
+    if n == 3:
         d0, d1, d2 = g[0, 0].real, g[1, 1].real, g[2, 2].real
         u01, u02, u12 = g[0, 1], g[0, 2], g[1, 2]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -405,28 +384,6 @@ def _positive_det_inv(g: np.ndarray, n: int, hermitian: bool = False):
         ginv[1, 0] = np.conj(ginv[0, 1])
         ginv[2, 0] = np.conj(ginv[0, 2])
         ginv[2, 1] = np.conj(ginv[1, 2])
-        return det, ginv
-    if n == 3:
-        with np.errstate(over="ignore", invalid="ignore"):
-            c00 = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
-            c01 = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
-            c02 = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
-            det = g[0, 0] * c00 + g[0, 1] * c01 + g[0, 2] * c02
-            lead2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        if not _positive(det, g[0, 0], lead2):
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag = (c00 / det, (g[0, 0] * g[2, 2] - g[0, 2] * g[2, 0]) / det, lead2 / det)
-        if not _finite(*diag):
-            return None
-        ginv = np.empty_like(g)
-        ginv[0, 0], ginv[1, 1], ginv[2, 2] = diag
-        ginv[1, 0] = c01 / det
-        ginv[2, 0] = c02 / det
-        ginv[0, 1] = (g[0, 2] * g[2, 1] - g[0, 1] * g[2, 2]) / det
-        ginv[2, 1] = (g[0, 1] * g[2, 0] - g[0, 0] * g[2, 1]) / det
-        ginv[0, 2] = (g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]) / det
-        ginv[1, 2] = (g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]) / det
         return det, ginv
     stacked = np.moveaxis(g, (0, 1), (-2, -1))
     det = np.linalg.det(stacked)
@@ -455,30 +412,31 @@ def _uncertified(a, norms, tri, scale: float) -> np.ndarray:
 
 
 def _eig_range(g: np.ndarray, n: int):
-    """(global min, global max) eigenvalue of a Hermitian (n,n,*payload) stack.
+    """(global min, global max) eigenvalue of an exactly Hermitian (n,n,*payload) stack.
 
     n=2 is the closed form.  Beyond that the result is bitwise the min and
-    max of ``np.linalg.eigvalsh`` over ``herm``, the Hermitian part of g; a
-    non-finite n=3 stack gives (nan, nan).
+    max of ``np.linalg.eigvalsh`` over g; a non-finite n=3 stack gives
+    (nan, nan).
 
     For n=3 eigvalsh runs only where an extreme can lie.  With u the
     smallest diagonal entry of the stack and L its largest, the global
     minimum is <= u and the global maximum >= L (a diagonal entry is a
     Rayleigh quotient).  A point leaves the minimum's candidates when
-    Sylvester's criterion certifies ``herm - (u + delta) I`` positive
+    Sylvester's criterion certifies ``g - (u + delta) I`` positive
     definite there, and the maximum's when it certifies
-    ``(L - delta) I - herm``.  eigvalsh then runs once on the points left in
-    either set; it treats each matrix of a stack on its own, so the min and
-    max are the full-stack call's.
+    ``(L - delta) I - g``; the minors read g's real diagonal and upper
+    triangle.  eigvalsh then runs once on the points left in either set; it
+    treats each matrix of a stack on its own, so the min and max are the
+    full-stack call's.
 
-    Rounding: ``delta = 2^-40 max|herm|`` (8192 unit roundoffs), and a
+    Rounding: ``delta = 2^-40 max|g|`` (8192 unit roundoffs), and a
     minor of order k >= 2 counts as positive only above ``2^-40 R^k``, R
     bounding every entry of the shifted blocks.  The closed-form minors are
     a few products and sums of such entries, wrong by under 100 unit
     roundoffs of R^k, so a certified block is positive definite once its
     diagonal is moved by one rounding (< eps R).  An excluded point thus has
     every eigenvalue above ``u + delta - eps R``, and eigvalsh, whose error
-    is a few unit roundoffs of max|herm|, reads it above what it reads at
+    is a few unit roundoffs of max|g|, reads it above what it reads at
     the point of the smallest diagonal entry.  That point is never excluded:
     its shifted block has a negative diagonal entry.  The maximum mirrors
     this.
@@ -490,12 +448,9 @@ def _eig_range(g: np.ndarray, n: int):
                       + off.real ** 2 + off.imag ** 2)
         return float(np.min(mid - rad)), float(np.max(mid + rad))
     if n == 3:
-        # herm's diagonal is g's real diagonal, bit for bit; its upper
-        # triangle is built here, and the whole of herm only where eigvalsh runs
         g = g.reshape(3, 3, -1)
         d = [g[i, i].real for i in range(3)]
-        norms, tri = _off_diagonal_terms(*(0.5 * (g[i, j] + np.conj(g[j, i]))
-                                           for i, j in ((0, 1), (0, 2), (1, 2))))
+        norms, tri = _off_diagonal_terms(g[0, 1], g[0, 2], g[1, 2])
         # np.min and np.max keep a NaN, which Python's min and max can drop
         low = float(np.min([np.min(di) for di in d]))
         high = float(np.max([np.max(di) for di in d]))
@@ -508,8 +463,7 @@ def _eig_range(g: np.ndarray, n: int):
         keep = (_uncertified([di - below for di in d], norms, tri, scale)
                 | _uncertified([above - di for di in d], norms, -tri, scale))
         g = g[:, :, np.flatnonzero(keep)]
-    herm = 0.5 * (g + _swap_conj(g))
-    vals = np.linalg.eigvalsh(np.moveaxis(herm, (0, 1), (-2, -1)))
+    vals = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -534,10 +488,11 @@ def _positivity_lost(margin: float) -> PositivityLostError:
 class HermitianMetric:
     """Validated positive Hermitian metric with its inverse and determinant.
 
-    The eigenvalue range (``margin``, ``max_eig``) is not needed to validate
-    the metric; it is computed on first read and cached.  At n=3 that read
-    runs eigvalsh only at the points the certified range of ``_eig_range``
-    leaves, a few hundred of an N=8 grid's 262 144.
+    g is Hermitian to the last bit (see ``from_matrix``).  The eigenvalue
+    range (``margin``, ``max_eig``) is not needed to validate the metric; it
+    is computed on first read and cached.  At n=3 that read runs eigvalsh
+    only at the points the certified range of ``_eig_range`` leaves, a few
+    hundred of an N=8 grid's 262 144.
     """
 
     n: int
@@ -569,10 +524,10 @@ class HermitianMetric:
                     herm_tol: Optional[float] = 1e-8) -> "HermitianMetric":
         """Build from the coefficient block g_{i jbar}.
 
-        ``herm_tol=None`` skips the Hermiticity scan and relies on the
-        Hermitian structure; only for callers that guarantee g == g^H to the
-        last bit, e.g. flow stages, whose lower triangle is the conjugate of
-        the upper one by construction.
+        A g within ``herm_tol`` of Hermitian is stored as its Hermitian block:
+        its real diagonal and upper triangle, lower = conj(upper).
+        ``herm_tol=None`` skips the scan and that copy; only for callers that
+        guarantee g == g^H to the last bit by construction, e.g. flow stages.
         Raises PositivityLostError, carrying the smallest eigenvalue as its
         margin, when g is not positive definite at every point by Sylvester's
         criterion, its determinant is subnormal somewhere or its inverse
@@ -590,7 +545,12 @@ class HermitianMetric:
             defect = _hermiticity_defect(g)
             if defect > herm_tol:
                 raise ValueError(f"metric is not Hermitian: defect {defect:.3e} > {herm_tol:.1e}")
-        det_inv = _positive_det_inv(g, n, hermitian=herm_tol is None)
+            g, raw = np.empty_like(g), g
+            for i in range(n):
+                g[i, i] = raw[i, i].real
+            for i, j in zip(*np.triu_indices(n, 1)):
+                g[i, j], g[j, i] = raw[i, j], np.conj(raw[i, j])
+        det_inv = _positive_det_inv(g, n)
         if det_inv is None:
             raise _positivity_lost(_eig_range(g, n)[0])
         det, ginv = det_inv
@@ -601,7 +561,7 @@ def flat_metric(n: int, payload: Tuple[int, ...] = ()) -> HermitianMetric:
     """The identity metric, optionally broadcast over a payload."""
     eye = np.eye(n, dtype=np.complex128).reshape((n, n) + (1,) * len(payload))
     g = np.broadcast_to(eye, (n, n) + tuple(payload)).copy()
-    return HermitianMetric.from_matrix(g)
+    return HermitianMetric.from_matrix(g, herm_tol=None)
 
 
 def fundamental_form(metric: HermitianMetric) -> Form:

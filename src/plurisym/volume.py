@@ -207,13 +207,13 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
     """Compare centered-difference time derivatives with their integral formulas.
 
     ``states`` are evenly spaced trajectory samples carrying .t, .omega and
-    .phi (``flow.Sample``); the metric of omega is rebuilt here.  Three
-    identities are checked: dV/dt against Q[1; curvature form], dF/dt
-    against -2 <dbar omega, dbar omega> in the evolving metric,
-    and (in dimension two) the rate of the squared-volume functional
-    P[0,0; 1] against its torsion-pairing plus curvature terms, with the
-    torsion evaluated through the star-composition codifferential so the
-    route is independent of the flow's own.
+    .phi (``flow.Sample``); the metric of omega is rebuilt here, bit for bit
+    the one the flow certified.  Three identities are checked: dV/dt against
+    Q[1; curvature form], dF/dt against -2 <dbar omega, dbar omega> in the
+    evolving metric, and (in dimension two) the rate of the squared-volume
+    functional P[0,0; 1] against its torsion-pairing plus curvature terms,
+    with the torsion evaluated through the star-composition codifferential
+    so the route is independent of the flow's own.
 
     Differencing uses the interior 5-point stencil.  A sample where the
     5-point and 3-point estimates disagree by more than ``resolution_guard``

@@ -13,6 +13,7 @@ from plurisym.calculus import (
     l2_norm,
     random_band_limited,
     residual_norms,
+    residual_norms_hat,
 )
 from plurisym.forms import (
     Form,
@@ -218,6 +219,26 @@ def test_flat_metric_from_the_band_is_exact():
     const = np.zeros(grid.band_shape, dtype=np.complex128)
     const[(0,) * 4] = (0.75 - 2.5j) * grid.points ** 4
     assert np.array_equal(grid.from_band(const), np.full(grid.shape, 0.75 - 2.5j))
+
+
+@pytest.mark.parametrize("n, points", [(2, 4), (2, 8), (3, 4)])
+def test_derivative_hat_tells_the_band_from_the_grid_by_shape(n, points):
+    # the band is narrower than the grid on every axis: 2 * (N // 3) + 1 < N
+    grid = TorusGrid(n, points)
+    hat = grid.fft(random_field(grid, np.random.default_rng(points), 1, 0).coeffs)
+    on_band = (slice(None),) + band_index(grid)
+    for anti in (False, True):
+        assert np.array_equal(grid.derivative_hat(hat[on_band], 1, 0, anti=anti),
+                              grid.derivative_hat(hat, 1, 0, anti=anti)[on_band])
+    for shape in (grid.band_shape[:-1] + (points,), (points + 1,) * (2 * n)):
+        with pytest.raises(ValueError, match="neither the grid nor the band"):
+            grid.derivative_hat(np.zeros((1, 1) + shape, dtype=np.complex128), 0, 0,
+                                anti=False)
+    omega = np.zeros((n, n) + grid.band_shape, dtype=np.complex128)
+    phi = np.zeros((n * (n - 1) // 2, 1) + grid.band_shape, dtype=np.complex128)
+    assert residual_norms_hat(grid, omega, phi, np.swapaxes(phi, 0, 1))["d_omega"] == 0.0
+    with pytest.raises(ValueError, match="neither the grid nor the band"):
+        residual_norms_hat(grid, omega[..., :-1], phi, np.swapaxes(phi, 0, 1))
 
 
 # ----------------------------------------------------------------------

@@ -460,6 +460,36 @@ def test_stage_metrics_compute_no_eigenvalues(monkeypatch):
     assert len(calls) == 1
 
 
+def test_stage_metrics_skip_the_hermiticity_scan_and_copy(grid, monkeypatch):
+    # each stage metric keeps the very block hermitian_from_band built
+    st = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=1)
+    scans, blocks, metrics = [], [], []
+    real_scan = forms_mod._hermiticity_defect
+    real_block = TorusGrid.hermitian_from_band
+    real_build = forms_mod.HermitianMetric.from_matrix
+
+    def scan(g):
+        scans.append(g)
+        return real_scan(g)
+
+    def block(self, g_hat):
+        blocks.append(real_block(self, g_hat))
+        return blocks[-1]
+
+    def build(cls, g, herm_tol=1e-8):
+        metrics.append(real_build(g, herm_tol))
+        return metrics[-1]
+
+    monkeypatch.setattr(forms_mod, "_hermiticity_defect", scan)
+    monkeypatch.setattr(TorusGrid, "hermitian_from_band", block)
+    monkeypatch.setattr(forms_mod.HermitianMetric, "from_matrix", classmethod(build))
+    out = step_rk4(grid, st, 1e-4)
+    assert scans == []
+    assert len(metrics) == len(blocks) == 4
+    assert all(m.g is b for m, b in zip(metrics, blocks))
+    assert out.metric is metrics[-1]
+
+
 def test_run_flow_computes_eigenvalues_once_per_sample(grid, monkeypatch):
     st = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=1)
     calls = count_eig_range(monkeypatch)

@@ -8,6 +8,7 @@ import pytest
 
 from plurisym.errors import PositivityLostError
 from plurisym.calculus import TorusGrid
+from plurisym.config import DEFAULT_GRID
 from plurisym.flow import make_initial_hs, step_rk4
 from plurisym.forms import (
     _eig_range,
@@ -174,7 +175,8 @@ def test_metric_closed_forms_against_linalg():
         for k in range(pts):
             g[:, :, k] = random_hermitian_positive(rng, n)
         vals = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
-        # herm_tol=None takes the structurally-Hermitian route
+        # herm_tol=None reads g's upper triangle as given; a scanned g is
+        # stored as its Hermitian block, which has the same upper triangle
         for herm_tol in (1e-8, None):
             m = HermitianMetric.from_matrix(g, herm_tol=herm_tol)
             for k in range(pts):
@@ -198,11 +200,16 @@ def test_metric_positivity_failure():
     assert info.value.margin == pytest.approx(-0.25)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_metric_non_finite_entry_is_a_positivity_loss(bad):
-    # caught before the minors or eigvalsh (LinAlgError on such a stack) see it
+@pytest.mark.parametrize("bad, entry", [
+    (np.nan, (1, 1)), (np.inf, (1, 1)),
+    (np.nan, (0, 2)), (np.inf, (0, 2)),
+    (np.nan, (2, 0)), (np.inf, (2, 0)),
+], ids=["nan", "inf", "nan-upper", "inf-upper", "nan-lower", "inf-lower"])
+def test_metric_non_finite_entry_is_a_positivity_loss(bad, entry):
+    # caught before the Hermitian block, the minors or eigvalsh (LinAlgError
+    # on such a stack) see it: a non-finite lower entry never reaches them
     g = np.broadcast_to(np.eye(3, dtype=np.complex128)[:, :, None], (3, 3, 4)).copy()
-    g[1, 1, 1] = bad
+    g[entry + (1,)] = bad
     with pytest.raises(PositivityLostError) as info:
         HermitianMetric.from_matrix(g)
     assert math.isnan(info.value.margin)
@@ -302,6 +309,36 @@ def test_metric_of_form_round_trip():
     assert np.allclose(again.g, g, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_metric_stores_the_hermitian_block(n):
+    # a g within herm_tol of Hermitian: its lower triangle and the imaginary
+    # part of its diagonal are dropped, and ginv inverts what is stored
+    rng = np.random.default_rng(47 + n)
+    exact = random_stack(rng, n, 9)
+    m = HermitianMetric.from_matrix(exact)
+    assert np.array_equal(m.g, exact)
+    g = exact + 1e-10 * (rng.standard_normal(exact.shape)
+                         + 1j * rng.standard_normal(exact.shape))
+    m = HermitianMetric.from_matrix(g)
+    for i in range(n):
+        assert np.array_equal(m.g[i, i], g[i, i].real.astype(np.complex128))
+        for j in range(i + 1, n):
+            assert np.array_equal(m.g[i, j], g[i, j])
+            assert np.array_equal(m.g[j, i], np.conj(g[i, j]))
+    prod = np.einsum("ij...,jk...->ik...", m.g, m.ginv)
+    assert np.max(np.abs(prod - np.eye(n)[:, :, None])) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+def test_metric_of_form_rebuilds_the_flow_metric_bitwise(n):
+    # the metric rebuilt from a flow state's omega is the one the flow certified
+    grid = TorusGrid(n, DEFAULT_GRID[n])
+    state = step_rk4(grid, make_initial_hs(grid), 1e-4)
+    again = metric_of_form(state.omega)
+    for name in ("g", "det", "ginv"):
+        assert np.array_equal(getattr(again, name), getattr(state.metric, name)), name
+
+
 def hermitian_part(g):
     return 0.5 * (g + np.conj(np.swapaxes(g, 0, 1)))
 
@@ -375,8 +412,10 @@ def test_indefinite_n3_stack_reports_the_direct_minimum(herm_tol):
     assert info.value.margin == pytest.approx(-0.3)
 
 
-@pytest.mark.parametrize("entry", [(1, 1), (0, 2), (2, 0)], ids=["diag", "upper", "lower"])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)], ids=["diag", "upper"])
 def test_certified_eig_range_of_a_nan_stack_is_nan(entry):
+    # a metric's lower triangle is the conjugate of its upper one; a NaN
+    # there alone is pinned through from_matrix (non-finite entry test)
     g = flat_metric(3, (4,)).g
     g[entry + (1,)] = np.nan
     lo, hi = _eig_range(g, 3)
