@@ -180,21 +180,34 @@ class TorusGrid:
         """Fourier coefficients of a field (trailing grid axes) on the resolved band."""
         return self._per_axis(self._band_fwd, arr, self.band_shape)
 
-    def from_band(self, band: np.ndarray) -> np.ndarray:
-        """Physical field of band coefficients, zero outside the band."""
-        return self._per_axis(self._band_inv, band, self.shape)
+    def from_band(self, band: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Physical field of band coefficients, zero outside the band.
 
-    def _per_axis(self, mat: np.ndarray, arr: np.ndarray, shape: tuple) -> np.ndarray:
+        ``out``, when given, is a C-contiguous complex array of the result's
+        shape (a slot of a larger block will do); the field is written there.
+        """
+        return self._per_axis(self._band_inv, band, self.shape, out)
+
+    def _per_axis(self, mat: np.ndarray, arr: np.ndarray, shape: tuple,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply ``mat`` along each trailing axis, one scalar field at a time.
 
         ``mat @ y.reshape(-1, k).T`` contracts the last axis and puts the new
         one first, C-contiguous; after 2n products the axes are back in order
         and BLAS read every transposed operand through a flag, with no
-        transpose copy.  The last product writes straight into the output.
-        Leading component axes are looped over.
+        transpose copy.  The last product writes straight into the output:
+        ``out`` when the caller hands one in (C-contiguous complex, of the
+        result's shape), else a new array.  Only the 2n - 1 intermediate
+        products, each smaller than a grid field, are allocated.  Leading
+        component axes are looped over.
         """
         lead = arr.shape[:arr.ndim - 2 * self.n]
-        out = np.empty(lead + shape, dtype=np.complex128)
+        if out is None:
+            out = np.empty(lead + shape, dtype=np.complex128)
+        elif (out.shape != lead + shape or out.dtype != np.complex128
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be C-contiguous complex128 of shape {lead + shape}, "
+                             f"got {out.dtype} {out.shape}")
         k = mat.shape[1]
         for idx in np.ndindex(*lead):
             y = arr[idx]
@@ -213,27 +226,28 @@ class TorusGrid:
     def hermitian_from_band(self, g_hat: np.ndarray) -> np.ndarray:
         """Physical (n, n) block of a Hermitian field from its band coefficients.
 
-        One transform per independent entry: the real diagonal in pairs
-        g_ii + sqrt(-1) g_(i+1)(i+1) (the last one alone when n is odd),
-        then the upper triangle row by row.  The diagonal is read off as real
-        and imaginary parts and the lower triangle is the conjugate of the
-        upper one, so the result is Hermitian to the last bit.
+        One transform per independent entry.  The real diagonal goes in pairs
+        g_ii + sqrt(-1) g_(i+1)(i+1) (the last one alone when n is odd)
+        through one field buffer, read off as real and imaginary parts.  Each
+        upper-triangle entry is transformed straight into its slot of the
+        block, and its conjugate written into the lower slot, so the result
+        is Hermitian to the last bit and the block and one field are all
+        that is allocated of grid size.
         """
         n = self.n
-        parts = [g_hat[i, i] + 1j * g_hat[i + 1, i + 1] if i + 1 < n else g_hat[i, i]
-                 for i in range(0, n, 2)]
-        parts += [g_hat[i, j] for i in range(n) for j in range(i + 1, n)]
-        fields = [self.from_band(part) for part in parts]
         out = np.empty((n, n) + self.shape, dtype=np.complex128)
-        for k, i in enumerate(range(0, n, 2)):
-            out[i, i] = fields[k].real
+        pair = np.empty(self.shape, dtype=np.complex128)
+        for i in range(0, n, 2):
             if i + 1 < n:
-                out[i + 1, i + 1] = fields[k].imag
-        upper = iter(fields[(n + 1) // 2:])
+                self.from_band(g_hat[i, i] + 1j * g_hat[i + 1, i + 1], out=pair)
+                out[i, i] = pair.real
+                out[i + 1, i + 1] = pair.imag
+            else:
+                out[i, i] = self.from_band(g_hat[i, i], out=pair).real
         for i in range(n):
             for j in range(i + 1, n):
-                out[i, j] = next(upper)
-                out[j, i] = np.conj(out[i, j])
+                self.from_band(g_hat[i, j], out=out[i, j])
+                np.conj(out[i, j], out=out[j, i])
         return out
 
     def coordinates(self):
@@ -373,7 +387,7 @@ def chern_form(grid: TorusGrid, metric: HermitianMetric) -> Form:
     the projector is applied right after the pointwise log.
     """
     det = metric.det
-    if np.min(det) <= 0.0:
+    if not np.min(det) > 0.0:
         raise ValueError("metric determinant is not positive; cannot take its log")
     u = np.log(det)
     if u.shape != grid.shape:

@@ -15,6 +15,12 @@ metric blocks, del omega, dbar phi) go to physical space and back (the two
 metric traces and log det).  Positivity of the metric is checked at each
 stage and aborts the run; nothing is regularized.
 
+A stage keeps its band coefficients and its metric, the one set of grid
+fields it holds.  Everything else a stage's rate computes on the grid (del
+omega, dbar phi, the two traces, log det) is built while the rate runs and
+dropped when it returns, del omega before dbar phi is built, so a state
+carries no work fields and the grid holds none either.
+
 Every state lives on the band: the initial data are built there, and
 ``FlowState.make`` takes physical fields there once, refusing a field with
 Fourier content outside the band beyond roundoff.  So a step starts from the
@@ -68,13 +74,15 @@ _OUT_OF_BAND_TOL = 1e-12
 
 @dataclass(eq=False)
 class _Stage:
-    """Band coefficients of (omega, phi) plus the physical fields a stage reads."""
+    """Band coefficients of (omega, phi) and the metric of omega.
+
+    The metric is the only grid-sized array a stage holds; the physical
+    fields its rate reads are built by ``_stage_rate`` and dropped there.
+    """
 
     omega_hat: np.ndarray
     phi_hat: np.ndarray
     metric: HermitianMetric
-    del_omega: np.ndarray
-    dbar_phi: np.ndarray
 
 
 @dataclass(eq=False, repr=False)
@@ -82,7 +90,8 @@ class FlowState:
     """Flow state at one instant: the two forms, the metric of omega, and its band stage.
 
     ``spectral`` is the band representation of the state, the first stage of
-    its next step.  For states from the initial-data functions and from
+    its next step: band coefficients and the metric, no other grid field.
+    For states from the initial-data functions and from
     step_rk4 the forms are the physical fields of that stage, phi computed
     on its first read; treat them as read-only.  A state from ``make`` keeps
     the forms it was given.
@@ -162,45 +171,43 @@ class FlowResult:
 # right-hand sides
 # ----------------------------------------------------------------------
 
-def _velocities(grid: TorusGrid, metric: HermitianMetric,
-                del_omega: Optional[np.ndarray], dbar_phi: Optional[np.ndarray]):
-    """Band coefficients of the omega and phi velocities from physical stage fields.
+def _omega_velocity(grid: TorusGrid, metric: HermitianMetric,
+                    del_omega: np.ndarray) -> np.ndarray:
+    """Band coefficients of the omega velocity from the physical field del(omega).
 
-    The omega velocity is C + conj(C) with C = dbar of the metric trace of
-    del(omega) plus half the curvature form; that trace is the
-    dbar-codifferential of omega (agreement with the star-composition route,
-    codifferential_dbar, is pinned in the tests).  The phi velocity is minus
-    del of the metric trace of dbar(phi).  Keeping only band coefficients is
-    the dealiasing projector.  Either part is skipped (None) when its input
-    field is None.
+    C + conj(C) with C = dbar of the metric trace of del(omega) plus half
+    the curvature form; that trace is the dbar-codifferential of omega
+    (agreement with the star-composition route, codifferential_dbar, is
+    pinned in the tests).  Keeping only band coefficients is the dealiasing
+    projector.
     """
-    n = grid.n
-    omega_vel = phi_vel = None
-    if del_omega is not None:
-        a = metric_trace(Form(n, 2, 1, del_omega), metric)          # (1,0)
-        c_hat = grid.derivative_hat(grid.to_band(a.coeffs), 1, 0, anti=True)
-        c_hat += 0.5 * (grid.ddbar_band * grid.to_band(np.log(metric.det)))
-        omega_vel = c_hat + grid.band_conjugate(c_hat, 1, 1)
-    if dbar_phi is not None:
-        traced = metric_trace(Form(n, 2, 1, dbar_phi), metric)     # (1,0)
-        phi_vel = -grid.derivative_hat(grid.to_band(traced.coeffs), 1, 0, anti=False)
-    return omega_vel, phi_vel
+    a = metric_trace(Form(grid.n, 2, 1, del_omega), metric)          # (1,0)
+    c_hat = grid.derivative_hat(grid.to_band(a.coeffs), 1, 0, anti=True)
+    c_hat += 0.5 * (grid.ddbar_band * grid.to_band(np.log(metric.det)))
+    return c_hat + grid.band_conjugate(c_hat, 1, 1)
+
+
+def _phi_velocity(grid: TorusGrid, metric: HermitianMetric,
+                  dbar_phi: np.ndarray) -> np.ndarray:
+    """Band coefficients of the phi velocity: minus del of the metric trace of dbar(phi)."""
+    b = metric_trace(Form(grid.n, 2, 1, dbar_phi), metric)          # (1,0)
+    return -grid.derivative_hat(grid.to_band(b.coeffs), 1, 0, anti=False)
 
 
 def pluriclosed_rhs(grid: TorusGrid, omega: Form, metric: HermitianMetric) -> Form:
     """Velocity of omega in its metric: both codifferential blocks plus the curvature form.
 
-    Evaluated by the integrator's own stage (see ``_velocities``) and brought
-    back through the Hermitian block transform, so the result is
+    Evaluated by the integrator's own route (``_omega_velocity``) and
+    brought back through the Hermitian block transform, so the result is
     self-conjugate to the last bit.
     """
-    vel, _ = _velocities(grid, metric, grid.del_form(omega).coeffs, None)
+    vel = _omega_velocity(grid, metric, grid.del_form(omega).coeffs)
     return Form(grid.n, 1, 1, 1j * grid.hermitian_from_band(-1j * vel))
 
 
 def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
     """Velocity of phi: minus the holomorphic derivative of the traced dbar(phi)."""
-    _, vel = _velocities(grid, metric, None, grid.dbar_form(phi).coeffs)
+    vel = _phi_velocity(grid, metric, grid.dbar_form(phi).coeffs)
     return Form(grid.n, 2, 0, grid.from_band(vel))
 
 
@@ -209,17 +216,28 @@ def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
 # ----------------------------------------------------------------------
 
 def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray) -> _Stage:
-    """Physical stage fields of a band state; builds (and checks) the metric.
+    """Stage of a band state: its coefficients and the metric of omega, built and checked.
 
     ``hermitian_from_band`` makes the metric block Hermitian to the last bit,
     so the metric keeps it with no Hermiticity scan or copy (``herm_tol=None``);
-    positivity is always enforced.
+    positivity is always enforced.  The metric is the only grid field a
+    stage keeps; ``_stage_rate`` builds the rest.
     """
     g = grid.hermitian_from_band(-1j * omega_hat)
-    del_omega = grid.from_band(grid.derivative_hat(omega_hat, 1, 1, anti=False))
-    dbar_phi = grid.from_band(grid.derivative_hat(phi_hat, 2, 0, anti=True))
-    metric = HermitianMetric.from_matrix(g, herm_tol=None)
-    return _Stage(omega_hat, phi_hat, metric, del_omega, dbar_phi)
+    return _Stage(omega_hat, phi_hat, HermitianMetric.from_matrix(g, herm_tol=None))
+
+
+def _stage_rate(grid: TorusGrid, st: _Stage):
+    """Band velocities of a stage, omega's then phi's.
+
+    Del omega is built, traced by ``_omega_velocity`` and dropped before
+    dbar phi is built, so the two (2,1)-fields never live at once.
+    """
+    omega_vel = _omega_velocity(
+        grid, st.metric, grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False)))
+    phi_vel = _phi_velocity(
+        grid, st.metric, grid.from_band(grid.derivative_hat(st.phi_hat, 2, 0, anti=True)))
+    return omega_vel, phi_vel
 
 
 def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
@@ -228,7 +246,9 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     Positivity is enforced at every stage through the metric construction
     (Sylvester's criterion, no eigenvalues); a failure raises
     PositivityLostError and leaves the caller holding the last valid state.
-    The end-of-step metric is the next step's first-stage metric.
+    The end-of-step metric is the next step's first-stage metric.  A stage
+    keeps no grid field but its metric; the fields a rate builds are dropped
+    when it returns.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -236,7 +256,7 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     w0, p0 = s1.omega_hat, s1.phi_hat
 
     def rate(st: _Stage):
-        return _velocities(grid, st.metric, st.del_omega, st.dbar_phi)
+        return _stage_rate(grid, st)
 
     kw1, kp1 = rate(s1)
     kw2, kp2 = rate(_band_stage(grid, w0 + (0.5 * dt) * kw1, p0 + (0.5 * dt) * kp1))

@@ -718,6 +718,25 @@ def _trace_table(n, p, q):
     return tuple(rows)
 
 
+# payload points per block of metric_trace: a block's operands, term and
+# output slot take 64 KiB each and stay in cache.  Measured on a 2-core Xeon
+# (numpy 2.4.6), a trace of a (2,1)-field at n=3 N=8 took 15.7 ms (median of
+# 15) in blocks of 4096, 19.8 ms in 2048, 17.6 ms in 8192, 28.2 ms in 65536
+# and 23.4 ms as one product per row over the whole grid
+_TRACE_BLOCK = 4096
+
+
+def _flat_payload(x: np.ndarray, payload: Tuple[int, ...]) -> np.ndarray:
+    """x (two basis axes, then a payload broadcasting to ``payload``) as (r, c, points).
+
+    Numpy's right-aligned broadcasting, then one flat payload axis; a view
+    for a C-contiguous x of the full payload and for a single point.
+    """
+    lead = x.shape[:2]
+    x = x.reshape(lead + (1,) * (len(payload) - x.ndim + 2) + x.shape[2:])
+    return np.broadcast_to(x, lead + payload).reshape(lead + (math.prod(payload),))
+
+
 def metric_trace(a: Form, metric: HermitianMetric) -> Form:
     """sqrt(-1) times the adjoint of wedging with the fundamental form.
 
@@ -725,15 +744,40 @@ def metric_trace(a: Form, metric: HermitianMetric) -> Form:
     ``sum_k beta_{s k kbar} dz^s``; on any (p,0)- or (0,q)-form it vanishes
     (those are primitive), returned here as the empty form of bidegree
     (p-1, q-1).
+
+    Each row of ``_trace_table`` multiplies a ginv entry by an input
+    coefficient and adds the product to (or subtracts it from) its output
+    slot, in table order.  A payload of points (the grid, or a form and a
+    metric that broadcast against each other) is flattened and walked in
+    blocks of ``_TRACE_BLOCK`` points, each row's product going into one
+    block-sized term buffer, so every point sees the same sums in the same
+    order as a per-row product of whole fields and nothing of the payload's
+    size is allocated but the output.  A single point (payload ``()``)
+    multiplies numpy scalars instead: their complex product rounds without
+    the fused multiply-add of numpy's array loops, and the point results
+    keep those bits.
     """
     n = a.n
-    out = Form.zeros(n, a.p - 1, a.q - 1,
-                     np.broadcast_shapes(a.payload, metric.payload))
-    ginv = metric.ginv
-    for oi, oj, ahol, banti, ii, ij, sign in _trace_table(n, a.p, a.q):
-        term = ginv[banti, ahol] * a.coeffs[ii, ij]
-        if sign < 0:
-            out.coeffs[oi, oj] -= term
-        else:
-            out.coeffs[oi, oj] += term
-    return out
+    payload = np.broadcast_shapes(a.payload, metric.payload)
+    shape = (_basis_dim(n, a.p - 1), _basis_dim(n, a.q - 1)) + payload
+    out = np.zeros(shape, dtype=np.complex128)
+    table = _trace_table(n, a.p, a.q)
+    if not payload:
+        for oi, oj, ahol, banti, ii, ij, sign in table:
+            product = metric.ginv[banti, ahol] * a.coeffs[ii, ij]
+            out[oi, oj] = out[oi, oj] - product if sign < 0 else out[oi, oj] + product
+        return Form(n, a.p - 1, a.q - 1, out)
+    points = math.prod(payload)
+    term = np.empty(min(_TRACE_BLOCK, points), dtype=np.complex128)
+    flat_out = out.reshape(shape[:2] + (points,))
+    ginv, coeffs = _flat_payload(metric.ginv, payload), _flat_payload(a.coeffs, payload)
+    rows = [(flat_out[oi, oj], ginv[banti, ahol], coeffs[ii, ij],
+             np.subtract if sign < 0 else np.add)
+            for oi, oj, ahol, banti, ii, ij, sign in table]
+    for start in range(0, points, _TRACE_BLOCK):
+        blk = slice(start, start + _TRACE_BLOCK)
+        t = term[:min(_TRACE_BLOCK, points - start)]
+        for o, g, c, accumulate in rows:
+            np.multiply(g[blk], c[blk], out=t)
+            accumulate(o[blk], t, out=o[blk])
+    return Form(n, a.p - 1, a.q - 1, out)

@@ -174,6 +174,39 @@ def oracle_trace(a: Form, g: np.ndarray) -> Form:
     return out
 
 
+def oracle_trace_rows(a: Form, ginv: np.ndarray) -> Form:
+    """The metric trace as one whole-payload product per contraction, for bitwise pins.
+
+    Not an independent algorithm but the plain route that the package's
+    blocked metric_trace must reproduce to the last bit: each contraction of
+    the last holomorphic slot (index x) with the first antiholomorphic slot
+    (index y) is one product ``ginv[y, x] * a[I, J]`` over the whole
+    broadcast payload, added to or subtracted from a zeroed output, for the
+    outputs (I', J') in order, then x, then y.  The signs come from
+    inversion counts.
+    """
+    n, p, q = a.n, a.p, a.q
+    hol = {I: k for k, I in enumerate(multi_indices(n, p))}
+    anti = {J: k for k, J in enumerate(multi_indices(n, q))}
+    out = Form.zeros(n, p - 1, q - 1, np.broadcast_shapes(a.payload, ginv.shape[2:]))
+    for oi, Ip in enumerate(multi_indices(n, p - 1)):
+        for oj, Jp in enumerate(multi_indices(n, q - 1)):
+            for x in range(n):
+                if x in Ip:
+                    continue
+                for y in range(n):
+                    if y in Jp:
+                        continue
+                    odd = (_inversions(Ip + (x,)) + _inversions((y,) + Jp)) % 2
+                    term = ginv[y, x] * a.coeffs[hol[tuple(sorted(Ip + (x,)))],
+                                                 anti[tuple(sorted((y,) + Jp))]]
+                    if odd:
+                        out.coeffs[oi, oj] -= term
+                    else:
+                        out.coeffs[oi, oj] += term
+    return out
+
+
 def random_point_form(rng, n, p, q, scale=1.0) -> Form:
     shape = (math.comb(n, p), math.comb(n, q))
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

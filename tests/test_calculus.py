@@ -207,6 +207,36 @@ def test_from_band_is_the_zero_padded_grid_ifft(n, points, real):
     assert np.max(np.abs(grid.from_band(band) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n, points", [(2, 8), (2, 9), (3, 6)])
+def test_from_band_into_out_is_bitwise(n, points):
+    # leading component axes, written into a fresh buffer and into a slot of
+    # a larger block; the same bits as a new array
+    grid = TorusGrid(n, points)
+    rng = np.random.default_rng(points)
+    shape = (2, 3) + grid.band_shape
+    band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = grid.from_band(band)
+    out = np.full((2, 3) + grid.shape, np.nan + 0j)
+    assert grid.from_band(band, out=out) is out
+    assert np.array_equal(out, want)
+    block = np.full((3, 2, 3) + grid.shape, np.nan + 0j)
+    grid.from_band(band, out=block[1])
+    assert np.array_equal(block[1], want)
+    assert np.isnan(block[0]).all() and np.isnan(block[2]).all()
+    grid.from_band(band[1, 2], out=block[2, 0, 0])
+    assert np.array_equal(block[2, 0, 0], want[1, 2])
+
+
+def test_from_band_refuses_an_output_it_cannot_fill():
+    grid = TorusGrid(2, 8)
+    band = np.zeros((2,) + grid.band_shape, dtype=np.complex128)
+    for bad in (np.empty((3,) + grid.shape, dtype=np.complex128),
+                np.empty((2,) + grid.shape),
+                np.empty(grid.shape + (2,), dtype=np.complex128).transpose(4, 0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            grid.from_band(band, out=bad)
+
+
 def test_flat_metric_from_the_band_is_exact():
     # only k=0 set: every entry of the inverse matrix's first column is 1/16
     grid = TorusGrid(2, 16)
@@ -375,6 +405,17 @@ def test_chern_form_is_real_and_closed():
     assert flat_l2(conjugate(c) - c) < 1e-12
     assert flat_l2(grid.del_form(c)) < 1e-11
     assert flat_l2(grid.dbar_form(c)) < 1e-11
+
+
+def test_chern_form_refuses_a_nan_determinant():
+    # a metric built through the dataclass constructor, with one NaN in det:
+    # no positive minimum, so no log
+    grid = TorusGrid(2, 8)
+    flat = flat_metric(2, grid.shape)
+    det = flat.det.copy()
+    det[1, 2, 3, 4] = np.nan
+    with pytest.raises(ValueError, match="not positive"):
+        chern_form(grid, HermitianMetric(2, flat.g, flat.ginv, det))
 
 
 # ----------------------------------------------------------------------

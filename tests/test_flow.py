@@ -1,6 +1,7 @@
 """Tests for right-hand sides, the RK4 stepper, initial data, and run_flow."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,50 @@ def test_band_fields_per_step(count_fields, make, n, points, cutoff):
         fields.clear()
         step_rk4(grid, st, 1e-4)
         assert sum(fields) == {2: 44, 3: 120}[n]
+
+
+def test_step_peak_memory_above_the_live_state():
+    # tracemalloc peak of one n=3 N=6 step over what was live before it, in
+    # full-grid complex scalar fields; building del omega and dbar phi one at
+    # a time in the rate, and the blocked trace, keep it near 59, where
+    # stages holding both fields took 68
+    grid = TorusGrid(3, 6)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = step_rk4(grid, st, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert out.t > 0.0
+    assert peak / (16 * grid.points ** 6) < 63.5
+
+
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
+def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    before = dict(vars(grid))
+    stages = []
+    real = flow_mod._band_stage
+
+    def band_stage(*args):
+        stages.append(real(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(flow_mod, "_band_stage", band_stage)
+    out = step_rk4(grid, st, 1e-4)
+    assert vars(grid).keys() == before.keys()
+    assert all(vars(grid)[key] is value for key, value in before.items())
+    assert len(stages) == 4 and out.spectral is stages[-1]
+    for stage in [st.spectral] + stages:
+        assert list(vars(stage)) == ["omega_hat", "phi_hat", "metric"]
+        assert stage.omega_hat.shape[2:] == stage.phi_hat.shape[2:] == grid.band_shape
 
 
 def test_flow_state_validates(grid):

@@ -34,6 +34,7 @@ from oracles import (
     oracle_inner,
     oracle_star,
     oracle_trace,
+    oracle_trace_rows,
     oracle_wedge,
     random_hermitian_positive,
     random_point_form,
@@ -635,6 +636,38 @@ def test_trace_annihilates_one_sided_forms():
         a = random_point_form(rng, n, p, q)
         t = metric_trace(a, flat_metric(n))
         assert t.coeffs.size == 0
+
+
+def random_metric_stack(rng, n, payload):
+    """Positive Hermitian metric at every point of a payload: identity plus a small Hermitian part."""
+    shape = (n, n) + tuple(payload)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = 0.05 * (g + np.conj(np.swapaxes(g, 0, 1)))
+    for i in range(n):
+        g[i, i] += 1.0
+    return HermitianMetric.from_matrix(g)
+
+
+@pytest.mark.parametrize("n, form_payload, metric_payload", [
+    (3, (6,) * 6, (6,) * 6),   # 46 656 points: 11 full blocks and a partial one
+    (2, (9,) * 4, (9,) * 4),   # 6 561 points: one full block and a partial one
+    (2, (16,) * 4, (16,) * 4),  # a whole number of blocks
+    (2, (), ()),
+    (3, (), ()),
+    (2, (9,) * 4, ()),          # a form on the grid, the metric at one point
+    (3, (), (5,) * 6),          # a form at one point, the metric on a grid
+], ids=["n3-N6", "n2-N9", "n2-N16", "n2-point", "n3-point", "n2-grid-form-point-metric",
+        "n3-point-form-grid-metric"])
+def test_blocked_trace_matches_the_per_row_reference_bitwise(n, form_payload, metric_payload):
+    rng = np.random.default_rng(101)
+    m = random_metric_stack(rng, n, metric_payload)
+    for p, q in [(2, 1), (1, 1), (2, 2)]:
+        shape = (math.comb(n, p), math.comb(n, q)) + form_payload
+        a = Form(n, p, q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        want = oracle_trace_rows(a, m.ginv)
+        got = metric_trace(a, m)
+        assert got.coeffs.shape == want.coeffs.shape
+        assert np.array_equal(got.coeffs, want.coeffs), f"({p},{q})"
 
 
 def test_star_trace_identity_for_two_one_forms():

@@ -27,6 +27,7 @@ from plurisym.forms import (
     metric_of_form,
     wedge,
 )
+import plurisym.volume as volume_mod
 from plurisym.volume import (
     alpha_form,
     beta_form,
@@ -187,6 +188,15 @@ def test_functional_validation(grid2, hs_state):
         functional_Q(grid2, ph, om, 1, bump)
 
 
+@pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "point"])
+def test_functional_validation_rejects_a_nan_test_form(grid2, hs_state, on_grid):
+    # a real, closed test form with one NaN entry is neither real nor closed
+    psi = constant_psi_11(2, grid2.shape if on_grid else ())
+    psi.coeffs[(0, 1) + (3,) * len(psi.payload)] = np.nan
+    with pytest.raises(ValueError, match="not real"):
+        functional_Q(grid2, hs_state.phi, hs_state.omega, 1, psi)
+
+
 # ----------------------------------------------------------------------
 # pluriclosedness of beta
 # ----------------------------------------------------------------------
@@ -241,6 +251,26 @@ def test_derivative_identities_preconditions(grid2, short_trajectory):
     with pytest.raises(ValueError, match="resolution_guard"):
         check_derivative_identities(grid2, short_trajectory.states,
                                     resolution_guard=0.0)
+
+
+def test_derivative_identities_keep_a_nan_error(grid2, short_trajectory, monkeypatch):
+    # a NaN curvature form at the second interior sample: its volume_rate
+    # error is NaN, and so is the maximum, though a finite error comes first
+    calls = []
+    real = volume_mod.chern_form
+
+    def chern(grid, metric):
+        calls.append(None)
+        form = real(grid, metric)
+        return form * np.nan if len(calls) == 2 else form
+
+    monkeypatch.setattr(volume_mod, "chern_form", chern)
+    report = check_derivative_identities(grid2, short_trajectory.states)
+    errors = report["volume_rate"]["rel_errors"]
+    assert math.isfinite(errors[0]) and math.isnan(errors[1])
+    assert math.isnan(report["volume_rate"]["max_rel_error"])
+    assert math.isnan(report["p_rate"]["max_rel_error"])
+    assert report["pairing_rate"]["max_rel_error"] < 5e-4
 
 
 def test_kahler_trajectory_identities_are_trivial(grid2):
