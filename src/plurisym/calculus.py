@@ -22,9 +22,9 @@ at these band widths (Boyd 2001, ch. 10).
 
 Full-grid transforms (``fft``/``ifft``) run through scipy.fft with its own
 worker default, so a caller picks their worker count with the
-``scipy.fft.set_workers`` context manager (the CLI does so for the
-PLURISYM_THREADS environment variable); band transforms follow BLAS's own
-thread setting.  Neither setting changes a bit.
+``scipy.fft.set_workers`` context manager (the CLI runs each command with
+one worker per usable CPU); band transforms follow BLAS's own thread
+setting.  Neither setting changes a bit.
 """
 
 from __future__ import annotations
@@ -290,40 +290,41 @@ class TorusGrid:
                 out[oi, oj] += term
         return out
 
+    def _exterior(self, a: Form, antis) -> list:
+        """del (anti=False) and dbar (anti=True) of a field, one per entry of ``antis``.
+
+        The field is transformed forward once, and only if some part has a
+        degree within n; a part whose degree would exceed n is the empty zero
+        form.
+        """
+        self._check_field(a)
+        n = self.n
+        hat = None
+        parts = []
+        for anti in antis:
+            p, q = (a.p, a.q + 1) if anti else (a.p + 1, a.q)
+            if max(p, q) > n:
+                parts.append(Form.zeros(n, p, q, self.shape))
+                continue
+            if hat is None:
+                hat = self.fft(a.coeffs)
+            parts.append(Form(n, p, q, self.ifft(self.derivative_hat(hat, a.p, a.q, anti))))
+        return parts
+
     def del_form(self, a: Form) -> Form:
         """Holomorphic exterior derivative of a field."""
-        self._check_field(a)
-        if a.p >= self.n:
-            return Form.zeros(self.n, a.p + 1, a.q, self.shape)
-        hat = self.derivative_hat(self.fft(a.coeffs), a.p, a.q, anti=False)
-        return Form(self.n, a.p + 1, a.q, self.ifft(hat))
+        return self._exterior(a, (False,))[0]
 
     def dbar_form(self, a: Form) -> Form:
         """Antiholomorphic exterior derivative of a field."""
-        self._check_field(a)
-        if a.q >= self.n:
-            return Form.zeros(self.n, a.p, a.q + 1, self.shape)
-        hat = self.derivative_hat(self.fft(a.coeffs), a.p, a.q, anti=True)
-        return Form(self.n, a.p, a.q + 1, self.ifft(hat))
+        return self._exterior(a, (True,))[0]
 
     def derivatives(self, a: Form) -> tuple[Form, Form]:
         """(del a, dbar a) from one forward transform of a field.
 
-        Bitwise equal to ``(del_form(a), dbar_form(a))``.  A part whose degree
-        would exceed n is the empty zero form, and a field with neither part
-        is not transformed at all.
+        Bitwise equal to ``(del_form(a), dbar_form(a))``.
         """
-        self._check_field(a)
-        n = self.n
-        hat = self.fft(a.coeffs) if a.p < n or a.q < n else None
-        parts = []
-        for anti, (p, q) in ((False, (a.p + 1, a.q)), (True, (a.p, a.q + 1))):
-            if max(p, q) > n:
-                parts.append(Form.zeros(n, p, q, self.shape))
-            else:
-                parts.append(Form(n, p, q, self.ifft(
-                    self.derivative_hat(hat, a.p, a.q, anti=anti))))
-        return tuple(parts)
+        return tuple(self._exterior(a, (False, True)))
 
     def truncate(self, a: Form) -> Form:
         """Project a field onto the resolved band."""

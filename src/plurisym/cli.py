@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
@@ -217,9 +216,10 @@ def cmd_volume(args) -> int:
         # too few / unevenly spaced / unresolvable samples: a run-shape problem
         raise ConfigError(str(err)) from err
 
+    # a_0 is the volume of the initial state, which its record has measured
+    a0 = result.records[0]["V"]
     omega0, phi0 = states[0].omega, states[0].phi
-    formulas = [coefficient_a(grid, omega0, phi0, i) for i in range(n + 1)]
-    a0 = formulas[0]
+    formulas = [a0] + [coefficient_a(grid, omega0, phi0, i) for i in range(1, n + 1)]
 
     add(f"fit residual (degree {n})", fit_residual, "measured",
         tol.fit_residual, fit_residual <= tol.fit_residual)
@@ -366,28 +366,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _threads_from_env() -> Optional[int]:
-    """FFT worker count from PLURISYM_THREADS, or None when it is unset."""
-    value = os.environ.get("PLURISYM_THREADS")
-    if value is None:
-        return None
-    try:
-        count = int(value)
-    except ValueError as err:
-        raise ConfigError(f"PLURISYM_THREADS: {err}") from err
-    if count < 1:
-        raise ConfigError(f"PLURISYM_THREADS: worker count must be positive, got {count}")
-    return count
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        workers = _threads_from_env()
         if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2 ** 64:
             raise ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
-        # the worker count holds for this command only
-        with nullcontext() if workers is None else scipy.fft.set_workers(workers):
+        # full-grid FFTs use every usable CPU, for this command only; the
+        # worker count changes no bit
+        with scipy.fft.set_workers(_usable_cpus()):
             return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

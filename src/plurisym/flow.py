@@ -15,23 +15,27 @@ metric blocks, del omega, dbar phi) go to physical space and back (the two
 metric traces and log det).  Positivity of the metric is checked at each
 stage and aborts the run; nothing is regularized.
 
-A stage keeps its band coefficients and its metric, the one set of grid
-fields it holds.  Everything else a stage's rate computes on the grid (del
-omega, dbar phi, the two traces, log det) is built while the rate runs and
-dropped when it returns, del omega before dbar phi is built, so a state
-carries no work fields and the grid holds none either.
+A state and an RK4 stage are the same thing, a ``FlowState``: band
+coefficients of omega and phi and the metric of omega, the one set of grid
+fields it holds.  Its physical forms are computed from these on first read
+(omega from the metric block, phi by one band transform), so a stage or an
+unsampled step never builds them.  Everything else a stage's rate computes
+on the grid (del omega, dbar phi, the two traces, log det) is built while
+the rate runs and dropped when it returns, del omega before dbar phi is
+built, so a state carries no work fields and the grid holds none either.
 
 Every state lives on the band: the initial data are built there, and
 ``FlowState.make`` takes physical fields there once, refusing a field with
 Fourier content outside the band beyond roundoff.  So a step starts from the
-state's first stage with no transform of the full grid.
+state itself with no transform of the full grid.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from functools import cached_property
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -72,51 +76,41 @@ __all__ = [
 _OUT_OF_BAND_TOL = 1e-12
 
 
-@dataclass(eq=False)
-class _Stage:
-    """Band coefficients of (omega, phi) and the metric of omega.
-
-    The metric is the only grid-sized array a stage holds; the physical
-    fields its rate reads are built by ``_stage_rate`` and dropped there.
-    """
-
-    omega_hat: np.ndarray
-    phi_hat: np.ndarray
-    metric: HermitianMetric
-
-
 @dataclass(eq=False, repr=False)
 class FlowState:
-    """Flow state at one instant: the two forms, the metric of omega, and its band stage.
+    """Flow state at one instant, and an RK4 stage: band coefficients and the metric.
 
-    ``spectral`` is the band representation of the state, the first stage of
-    its next step: band coefficients and the metric, no other grid field.
-    For states from the initial-data functions and from
-    step_rk4 the forms are the physical fields of that stage, phi computed
-    on its first read; treat them as read-only.  A state from ``make`` keeps
-    the forms it was given.
+    ``omega_hat`` and ``phi_hat`` are the band coefficients of omega and phi,
+    and ``metric`` is the metric of omega, the only grid-sized array a state
+    holds.  The physical forms ``omega`` and ``phi`` are computed from these
+    on first read and kept; treat them as read-only.  Stages of a step are
+    states that nothing reads, so they never build them.
     """
 
     t: float
-    omega: Form
+    omega_hat: np.ndarray
+    phi_hat: np.ndarray
     metric: HermitianMetric
-    spectral: _Stage
     grid: TorusGrid
-    _phi: Optional[Form] = None
 
-    @property
+    @cached_property
+    def omega(self) -> Form:
+        """The physical (1,1)-form, i times the metric block."""
+        return Form(self.grid.n, 1, 1, 1j * self.metric.g)
+
+    @cached_property
     def phi(self) -> Form:
-        """The physical (2,0)-form; a band-native state computes it on first read."""
-        if self._phi is None:
-            self._phi = Form(self.grid.n, 2, 0, self.grid.from_band(self.spectral.phi_hat))
-        return self._phi
+        """The physical (2,0)-form, from one band transform."""
+        return Form(self.grid.n, 2, 0, self.grid.from_band(self.phi_hat))
 
     @classmethod
     def make(cls, grid: TorusGrid, t: float, omega: Form, phi: Form) -> "FlowState":
         """Validate bidegrees, payloads and the metric of omega, then move the forms to the band.
 
-        ``metric`` is ``metric_of_form(omega)``.  The band part of omega is
-        symmetrized so that its coefficients are exactly those of a real form.
+        The band part of omega is symmetrized so that its coefficients are
+        exactly those of a real form, and the state is the band state of the
+        two projections: its metric is built from them, and its forms are
+        their physical fields, within ``_OUT_OF_BAND_TOL`` of the given ones.
         Raises PositivityLostError when omega is not a positive form, and
         ValueError when either form has Fourier content outside the resolved
         band beyond roundoff (``_OUT_OF_BAND_TOL`` of its largest entry).
@@ -131,7 +125,7 @@ class FlowState:
                     f"{name} must live on the grid (n={grid.n}, payload {grid.shape}), "
                     f"got n={f.n}, payload {f.payload}"
                 )
-        metric = metric_of_form(omega)
+        metric_of_form(omega)  # reality and positivity of the given omega
         hats = [grid.to_band(f.coeffs) for f in (omega, phi)]
         for name, f, hat in zip(("omega", "phi"), (omega, phi), hats):
             # a non-finite field measures NaN here; its metric or the first
@@ -147,15 +141,17 @@ class FlowState:
                 )
         omega_hat, phi_hat = hats
         omega_hat = 0.5 * (omega_hat + grid.band_conjugate(omega_hat, 1, 1))
-        return cls(float(t), omega, metric, _band_stage(grid, omega_hat, phi_hat), grid, phi)
+        return _band_stage(grid, float(t), omega_hat, phi_hat)
 
 
 class Sample(NamedTuple):
-    """The forms of a sampled state, as run_flow collects them."""
+    """The forms of a sampled state and its record's V and F, as run_flow collects them."""
 
     t: float
     omega: Form
     phi: Form
+    V: float
+    F: float
 
 
 @dataclass
@@ -215,19 +211,20 @@ def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
 # stepping
 # ----------------------------------------------------------------------
 
-def _band_stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray) -> _Stage:
-    """Stage of a band state: its coefficients and the metric of omega, built and checked.
+def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
+                phi_hat: np.ndarray) -> FlowState:
+    """State of band coefficients at time t, with the metric of omega built and checked.
 
     ``hermitian_from_band`` makes the metric block Hermitian to the last bit,
     so the metric keeps it with no Hermiticity scan or copy (``herm_tol=None``);
     positivity is always enforced.  The metric is the only grid field a
-    stage keeps; ``_stage_rate`` builds the rest.
+    state keeps; ``_stage_rate`` builds the rest.
     """
     g = grid.hermitian_from_band(-1j * omega_hat)
-    return _Stage(omega_hat, phi_hat, HermitianMetric.from_matrix(g, herm_tol=None))
+    return FlowState(t, omega_hat, phi_hat, HermitianMetric.from_matrix(g, herm_tol=None), grid)
 
 
-def _stage_rate(grid: TorusGrid, st: _Stage):
+def _stage_rate(grid: TorusGrid, st: FlowState):
     """Band velocities of a stage, omega's then phi's.
 
     Del omega is built, traced by ``_omega_velocity`` and dropped before
@@ -246,27 +243,21 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     Positivity is enforced at every stage through the metric construction
     (Sylvester's criterion, no eigenvalues); a failure raises
     PositivityLostError and leaves the caller holding the last valid state.
-    The end-of-step metric is the next step's first-stage metric.  A stage
-    keeps no grid field but its metric; the fields a rate builds are dropped
-    when it returns.
+    The last stage is the returned state, and the first stage of the next
+    step.  A stage keeps no grid field but its metric; the fields a rate
+    builds are dropped when it returns.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    s1 = state.spectral
-    w0, p0 = s1.omega_hat, s1.phi_hat
-
-    def rate(st: _Stage):
-        return _stage_rate(grid, st)
-
-    kw1, kp1 = rate(s1)
-    kw2, kp2 = rate(_band_stage(grid, w0 + (0.5 * dt) * kw1, p0 + (0.5 * dt) * kp1))
-    kw3, kp3 = rate(_band_stage(grid, w0 + (0.5 * dt) * kw2, p0 + (0.5 * dt) * kp2))
-    kw4, kp4 = rate(_band_stage(grid, w0 + dt * kw3, p0 + dt * kp3))
+    t, w0, p0 = state.t, state.omega_hat, state.phi_hat
+    half = 0.5 * dt
+    kw1, kp1 = _stage_rate(grid, state)
+    kw2, kp2 = _stage_rate(grid, _band_stage(grid, t + half, w0 + half * kw1, p0 + half * kp1))
+    kw3, kp3 = _stage_rate(grid, _band_stage(grid, t + half, w0 + half * kw2, p0 + half * kp2))
+    kw4, kp4 = _stage_rate(grid, _band_stage(grid, t + dt, w0 + dt * kw3, p0 + dt * kp3))
     sixth = dt / 6.0
-    end = _band_stage(grid, w0 + sixth * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4),
-                      p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4))
-    return FlowState(state.t + dt, Form(grid.n, 1, 1, 1j * end.metric.g), end.metric, end,
-                     grid)
+    return _band_stage(grid, t + dt, w0 + sixth * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4),
+                       p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4))
 
 
 def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric, safety: float) -> float:
@@ -291,8 +282,7 @@ def _initial_state(grid: TorusGrid, epsilon: float, omega_raw: np.ndarray,
     ``omega_raw`` holds the band coefficients of an exactly real (1,1)-form
     and ``phi_raw`` those of a (2,0)-form.  Both are scaled so that the
     largest physical coefficient has magnitude epsilon, and the flat form is
-    put on the k=0 coefficient.  The state's forms are the physical fields
-    of its first stage, as in the states step_rk4 returns.
+    put on the k=0 coefficient.
     """
     n = grid.n
     amp = float(np.max(np.abs(grid.hermitian_from_band(-1j * omega_raw))))
@@ -303,9 +293,7 @@ def _initial_state(grid: TorusGrid, epsilon: float, omega_raw: np.ndarray,
     diag = np.arange(n)
     # unnormalized forward transform: a constant c has k=0 coefficient c * points^(2n)
     omega_hat[(diag, diag) + (0,) * (2 * n)] += 1j * grid.points ** (2 * n)
-    phi_hat = scale * phi_raw
-    stage = _band_stage(grid, omega_hat, phi_hat)
-    return FlowState(0.0, Form(n, 1, 1, 1j * stage.metric.g), stage.metric, stage, grid)
+    return _band_stage(grid, 0.0, omega_hat, scale * phi_raw)
 
 
 def make_initial_hs(grid: TorusGrid, epsilon: float = InitialSettings.epsilon,
@@ -368,17 +356,19 @@ def make_initial_kahler(grid: TorusGrid, epsilon: float = InitialSettings.epsilo
 
 def _residuals(grid: TorusGrid, state: FlowState) -> dict:
     """``residual_norms`` of a state, from the band coefficients it carries."""
-    sp = state.spectral
-    return residual_norms_hat(grid, sp.omega_hat, sp.phi_hat,
-                              grid.band_conjugate(sp.phi_hat, 2, 0))
+    return residual_norms_hat(grid, state.omega_hat, state.phi_hat,
+                              grid.band_conjugate(state.phi_hat, 2, 0))
 
 
 def diagnostics_record(grid: TorusGrid, state: FlowState) -> dict:
     """One monitoring record: time, volume, self-pairing, residuals, margin.
 
-    The four residual columns take the band route: the Parseval norms of
-    ``residual_norms_hat`` on the band coefficients of omega, phi and
-    conj(phi) in ``state.spectral``, so a record transforms nothing.  They
+    V and F are measured on the state's physical forms, which the record
+    builds on its first read of them; they are the sample's only measurement
+    of V and F, which ``volume.check_derivative_identities`` reads through
+    ``Sample``.  The four residual columns take the band route: the Parseval
+    norms of ``residual_norms_hat`` on the band coefficients of omega, phi
+    and conj(phi) that the state carries, so they transform nothing.  They
     measure the state the integrator carries; the physical route,
     ``calculus.residual_norms`` on the state's forms, agrees at roundoff.
     The margin is the smallest eigenvalue of the state's metric; this is where
@@ -426,7 +416,7 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
         rec = diagnostics_record(grid, st)
         records.append(rec)
         if config.collect_states:
-            states.append(Sample(st.t, st.omega, st.phi))
+            states.append(Sample(st.t, st.omega, st.phi, rec["V"], rec["F"]))
         if not rec["hs_constraint_residual"] <= config.constraint_abort:
             raise ConstraintViolationError(
                 f"constraint residual {rec['hs_constraint_residual']:.3e} exceeded "

@@ -168,6 +168,10 @@ def functional_Q(grid: TorusGrid, phi: Form, omega: Form, s: int, psi: Form) -> 
 
 def check_beta_pluriclosed(grid: TorusGrid, omega: Form, phi: Form, s: int) -> float:
     """Flat L2 norm of d dbar beta[s]; small only through the coupling cancellation."""
+    if s == 0:
+        # beta[0] has bidegree (n, n), so del dbar beta[0] would have bidegree
+        # (n+1, n+1): it has no components and its norm is 0.0 at every n
+        return 0.0
     b = beta_form(phi, omega, s)
     return l2_norm(grid, grid.dbar_form(grid.del_form(b)))
 
@@ -207,14 +211,16 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
                                 resolution_guard: float = Tolerances.resolution_guard) -> dict:
     """Compare centered-difference time derivatives with their integral formulas.
 
-    ``states`` are evenly spaced trajectory samples carrying .t, .omega and
-    .phi (``flow.Sample``); the metric of omega is rebuilt here, bit for bit
-    the one the flow certified.  Three identities are checked: dV/dt against
-    Q[1; curvature form], dF/dt against -2 <dbar omega, dbar omega> in the
-    evolving metric, and (in dimension two) the rate of the squared-volume
-    functional P[0,0; 1] against its torsion-pairing plus curvature terms,
-    with the torsion evaluated through the star-composition codifferential
-    so the route is independent of the flow's own.
+    ``states`` are evenly spaced trajectory samples carrying .t, .omega,
+    .phi and their record's .V and .F (``flow.Sample``); the V and F series
+    are read from there, not measured again.  The metric of omega is rebuilt
+    only at the interior samples, whose formula sides are evaluated, bit for
+    bit the one the flow certified.  Three identities are checked: dV/dt
+    against Q[1; curvature form], dF/dt against -2 <dbar omega, dbar omega>
+    in the evolving metric, and (in dimension two) the rate of the
+    squared-volume functional P[0,0; 1] against its torsion-pairing plus
+    curvature terms, with the torsion evaluated through the star-composition
+    codifferential so the route is independent of the flow's own.
 
     Differencing uses the interior 5-point stencil.  A sample where the
     5-point and 3-point estimates disagree by more than ``resolution_guard``
@@ -248,19 +254,17 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
     n = grid.n
     horizon = float(ts[-1] - ts[0])
 
-    vols = np.empty(len(states))
-    fs = np.empty(len(states))
+    vols = np.array([st.V for st in states], dtype=float)
+    fs = np.array([st.F for st in states], dtype=float)
     ps = np.empty(len(states))
     interior = range(2, len(states) - 2)
     rhs_at = {}
     for k, st in enumerate(states):
-        metric = metric_of_form(st.omega)
-        vols[k] = volume_V(grid, st.omega, st.phi)
-        fs[k] = global_inner_product(grid, st.phi, st.phi, metric).real
         if n == 2:
             ps[k] = integrate(grid, form_power(st.omega, 2)).real
         if k not in interior:
             continue
+        metric = metric_of_form(st.omega)
         c = chern_form(grid, metric)
         dbar_om = grid.dbar_form(st.omega)
         rhs = {

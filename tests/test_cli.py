@@ -76,16 +76,41 @@ def test_flow_flat_kahler_rows_are_a_fixed_point(tmp_path):
     pytest.param("flow", {"dimension": 3, "grid": 4, "initial": {"type": "flat_kahler"}},
                  id="flow-n3-flat-kahler"),
 ])
-def test_flow_reruns_are_byte_identical(tmp_path, monkeypatch, command, overrides):
+def test_flow_reruns_are_byte_identical(tmp_path, command, overrides):
     cfg = write_config(tmp_path, **overrides)
-    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
+    paths = [tmp_path / f"run{i}.csv" for i in range(2)]
     assert main([command, "--config", cfg, "--output", str(paths[0])]) == 0
     assert main([command, "--config", cfg, "--output", str(paths[1])]) == 0
-    monkeypatch.setenv("PLURISYM_THREADS", "3")
-    assert main([command, "--config", cfg, "--output", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
     assert b"\r" not in blobs[0]
+
+
+def test_reports_do_not_depend_on_the_fft_worker_count(tmp_path, monkeypatch):
+    # each command runs its full-grid FFTs (here the volume analysis pass)
+    # with one worker per usable CPU; the count changes no bit, and scipy's
+    # own setting is back in place after the command
+    cfg = write_config(tmp_path, flow=VOLUME_FLOW)
+    real_run_flow = plurisym.cli.run_flow
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(scipy.fft.get_workers())
+        return real_run_flow(*args, **kwargs)
+
+    monkeypatch.setattr(plurisym.cli, "run_flow", spy)
+    if hasattr(os, "sched_getaffinity"):
+        assert plurisym.cli._usable_cpus() == len(os.sched_getaffinity(0))
+    before = scipy.fft.get_workers()
+    blobs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(plurisym.cli, "_usable_cpus", lambda: workers)
+        path = tmp_path / f"w{workers}.csv"
+        assert main(["volume", "--config", cfg, "--output", str(path)]) == 0
+        blobs.append(path.read_bytes())
+    assert seen == [1, 3]
+    assert blobs[0] == blobs[1]
+    assert scipy.fft.get_workers() == before
 
 
 def test_flow_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -304,34 +329,6 @@ def test_usage_errors_exit_3(capsys):
 def test_missing_config_file_exits_3(capsys):
     assert main(["flow", "--config", "/nonexistent/cfg.json"]) == 3
     assert "cannot read config file" in capsys.readouterr().err
-
-
-def test_threads_env_var_sets_workers_for_one_command(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, flow={"steps": 5, "sample_every": 5})
-    real_run_flow = plurisym.cli.run_flow
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(scipy.fft.get_workers())
-        return real_run_flow(*args, **kwargs)
-
-    monkeypatch.setattr(plurisym.cli, "run_flow", spy)
-    before = scipy.fft.get_workers()
-    monkeypatch.setenv("PLURISYM_THREADS", "2")
-    assert main(["flow", "--config", cfg, "--output",
-                 str(tmp_path / "w.csv")]) == 0
-    assert seen == [2]
-    assert scipy.fft.get_workers() == before
-
-
-def test_threads_env_var_validation(capsys, monkeypatch):
-    before = scipy.fft.get_workers()
-    monkeypatch.setenv("PLURISYM_THREADS", "zero")
-    assert main(["obstruct", "1", "1", "1"]) == 3
-    monkeypatch.setenv("PLURISYM_THREADS", "0")
-    assert main(["obstruct", "1", "1", "1"]) == 3
-    assert "PLURISYM_THREADS" in capsys.readouterr().err
-    assert scipy.fft.get_workers() == before
 
 
 def _distribution_installed(name: str) -> bool:

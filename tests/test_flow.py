@@ -156,12 +156,30 @@ def test_make_refuses_out_of_band_content(grid, hs_state):
 
 
 @pytest.mark.parametrize("made", ["flat", "hs"])
-def test_make_keeps_its_forms_and_their_metric(grid, hs_state, made):
-    # the t=0 record of a made state reads these, so they keep their bits
-    src = flat_state(grid) if made == "flat" else hs_state
-    st = FlowState.make(grid, 0.0, src.omega, src.phi)
-    assert st.omega is src.omega and st.phi is src.phi
-    assert np.array_equal(st.metric.g, metric_of_form(src.omega).g)
+def test_make_projects_its_forms_and_holds_one_metric(grid, hs_state, made, monkeypatch):
+    # a made state is the band state of the given forms: its forms are their
+    # band projections, within the out-of-band tolerance of the given ones,
+    # and it holds the one metric of its band stage
+    given = flat_state(grid) if made == "flat" else hs_state
+    omega, phi = given.omega, given.phi
+    metrics = []
+    real = forms_mod.HermitianMetric.from_matrix
+
+    def build(cls, g, herm_tol=1e-8):
+        metrics.append(real(g, herm_tol))
+        return metrics[-1]
+
+    monkeypatch.setattr(forms_mod.HermitianMetric, "from_matrix", classmethod(build))
+    st = FlowState.make(grid, 0.0, omega, phi)
+    # metric_of_form validates the given omega, then the band stage builds its own
+    assert len(metrics) == 2 and st.metric is metrics[-1]
+    assert [key for key, value in vars(st).items()
+            if isinstance(value, forms_mod.HermitianMetric)] == ["metric"]
+    assert st.omega is not omega and st.phi is not phi
+    for mine, theirs in ((st.omega, omega), (st.phi, phi)):
+        assert np.max(np.abs(mine.coeffs - theirs.coeffs)) <= 1e-12 * np.max(np.abs(theirs.coeffs))
+    assert np.array_equal(st.omega.coeffs, 1j * st.metric.g)
+    assert np.array_equal(st.metric.g, metric_of_form(st.omega).g)
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +267,7 @@ def test_initial_data_start_on_the_band(count_fields, make, n, points, cutoff):
     step_rk4(grid, st, 1e-4)
     # neither the initial data nor the first step transforms the full grid
     assert calls == []
-    omega_hat = st.spectral.omega_hat
+    omega_hat = st.omega_hat
     assert np.array_equal(omega_hat, grid.band_conjugate(omega_hat, 1, 1))
 
 
@@ -318,10 +336,30 @@ def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
     out = step_rk4(grid, st, 1e-4)
     assert vars(grid).keys() == before.keys()
     assert all(vars(grid)[key] is value for key, value in before.items())
-    assert len(stages) == 4 and out.spectral is stages[-1]
-    for stage in [st.spectral] + stages:
-        assert list(vars(stage)) == ["omega_hat", "phi_hat", "metric"]
+    # the last stage is the stepped state; no stage, the state stepped from
+    # included, has built its physical forms
+    assert len(stages) == 4 and out is stages[-1]
+    for stage in [st] + stages:
+        assert list(vars(stage)) == ["t", "omega_hat", "phi_hat", "metric", "grid"]
         assert stage.omega_hat.shape[2:] == stage.phi_hat.shape[2:] == grid.band_shape
+
+
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
+def test_physical_forms_are_built_on_first_read_only(n, points):
+    # of two steps only the second is recorded: the first state never builds
+    # omega or phi, and the record builds the second's once, as the
+    # expressions the stepper built for every state before, bit for bit
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    assert "omega" not in vars(st) and "phi" not in vars(st)
+    unread = step_rk4(grid, st, 1e-4)
+    read = step_rk4(grid, unread, 1e-4)
+    diagnostics_record(grid, read)
+    assert "omega" not in vars(unread) and "phi" not in vars(unread)
+    assert vars(read)["omega"] is read.omega and vars(read)["phi"] is read.phi
+    assert np.array_equal(read.omega.coeffs, 1j * read.metric.g)
+    assert np.array_equal(read.phi.coeffs, grid.from_band(read.phi_hat))
+    assert read.omega.bidegree == (1, 1) and read.phi.bidegree == (2, 0)
 
 
 def test_flow_state_validates(grid):

@@ -9,6 +9,7 @@ from plurisym.calculus import (
     TorusGrid,
     chern_form,
     codifferential_dbar,
+    global_inner_product,
     integrate,
     random_band_limited,
 )
@@ -27,6 +28,7 @@ from plurisym.forms import (
     metric_of_form,
     wedge,
 )
+import plurisym.forms as forms_mod
 import plurisym.volume as volume_mod
 from plurisym.volume import (
     alpha_form,
@@ -206,6 +208,30 @@ def test_beta_pluriclosed_on_coupled_state(grid2, hs_state):
     assert check_beta_pluriclosed(grid2, hs_state.omega, hs_state.phi, 1) < 1e-10
 
 
+def count_calls(monkeypatch, module, name):
+    """Route module.name through a wrapper that logs one entry per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_beta0_check_builds_no_wedge(grid2, hs_state, monkeypatch):
+    # d dbar of the (n,n)-form beta[0] has no components: 0.0 with no
+    # product built, where building beta[0] itself takes wedges
+    inner = count_calls(monkeypatch, forms_mod, "wedge")
+    outer = count_calls(monkeypatch, volume_mod, "wedge")
+    assert check_beta_pluriclosed(grid2, hs_state.omega, hs_state.phi, 0) == 0.0
+    assert inner == outer == []
+    beta_form(hs_state.phi, hs_state.omega, 0)
+    assert inner or outer
+
+
 def test_beta_pluriclosed_n3_mixes_phi():
     grid = TorusGrid(3, 8)
     st = make_initial_hs(grid, epsilon=0.05, seed=11, mode_cutoff=1)
@@ -296,6 +322,54 @@ def test_derivative_identities_catch_mangled_time(grid2, short_trajectory):
     assert report["pairing_rate"]["max_rel_error"] > 0.3
     assert report["p_rate"]["max_rel_error"] > 0.3
     assert all(report[key]["unresolved"] == 0 for key in report)
+
+
+@pytest.mark.parametrize("n, points, cutoff", [(2, 8, 2), (3, 4, 1)], ids=["n2", "n3"])
+def test_samples_carry_their_records_v_and_f_bitwise(n, points, cutoff):
+    # the record's V and F are the measurements the identity pass used to
+    # make again from the sample's forms and the metric rebuilt from omega
+    grid = TorusGrid(n, points)
+    state = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
+    result = run_flow(grid, state, FlowConfig(dt=1e-4, steps=4, sample_every=2,
+                                              collect_states=True))
+    assert len(result.states) == len(result.records) == 3
+    for st, rec in zip(result.states, result.records):
+        metric = metric_of_form(st.omega)
+        assert st.t == rec["t"] and st.V == rec["V"] and st.F == rec["F"]
+        assert st.V == volume_V(grid, st.omega, st.phi)
+        assert st.F == global_inner_product(grid, st.phi, st.phi, metric).real
+
+
+def test_derivative_identities_read_v_and_f_from_the_samples(grid2, short_trajectory):
+    # negative controls: a V series with an extra rate of 1e-3 fails
+    # volume_rate, and an F series off by 1% fails pairing_rate, though the
+    # forms of every sample are unchanged
+    states = short_trajectory.states
+    shifted = [st._replace(V=st.V + 1e-3 * st.t) for st in states]
+    report = check_derivative_identities(grid2, shifted)
+    assert report["volume_rate"]["max_rel_error"] > 0.1
+    assert report["pairing_rate"]["max_rel_error"] < 5e-4
+    scaled = [st._replace(F=1.01 * st.F) for st in states]
+    report = check_derivative_identities(grid2, scaled)
+    assert report["pairing_rate"]["max_rel_error"] > 5e-3
+    assert report["volume_rate"]["max_rel_error"] < 1e-5
+
+
+def test_derivative_identities_build_metrics_at_interior_samples_only(
+        grid2, short_trajectory, monkeypatch):
+    states = short_trajectory.states
+    volumes = count_calls(monkeypatch, volume_mod, "volume_V")
+    metrics = []
+    real = forms_mod.HermitianMetric.from_matrix
+
+    def build(cls, g, herm_tol=1e-8):
+        metrics.append(None)
+        return real(g, herm_tol)
+
+    monkeypatch.setattr(forms_mod.HermitianMetric, "from_matrix", classmethod(build))
+    check_derivative_identities(grid2, states)
+    assert volumes == []
+    assert len(metrics) == len(states) - 4
 
 
 def test_p_rate_identity_on_short_run(grid2, short_trajectory):
