@@ -16,24 +16,21 @@ Band-limited data can also live on the resolved band alone: ``to_band`` keeps
 the (2 * cutoff + 1)**(2n) retained coefficients of a field in fftfreq order,
 ``from_band`` zero-pads them back to the grid, and derivatives, conjugation
 and the curvature multiplier act on band arrays directly.  The flow keeps its
-state there between RK4 stages and measures its residuals there.  Band
-transforms are dense per-axis DFT matrix products (BLAS), which beat the FFT
-at these band widths (Boyd 2001, ch. 10).
+state there between RK4 stages and measures its residuals there.
 
-Full-grid transforms (``fft``/``ifft``) run through scipy.fft with its own
-worker default, so a caller picks their worker count with the
-``scipy.fft.set_workers`` context manager (the CLI runs each command with
-one worker per usable CPU); band transforms follow BLAS's own thread
-setting.  Neither setting changes a bit.
+Every transform, full-grid (``fft``/``ifft``) or band, is a dense per-axis
+DFT matrix product on BLAS, which beats the FFT at these widths (Boyd 2001,
+ch. 10).  The matrices index one table of exact-symmetry roots of unity, and
+the band matrices are the kept rows and columns of the full-grid ones.
+BLAS's own thread setting changes no bit.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
-import scipy.fft as sfft
 
 from .forms import (
     Form,
@@ -99,6 +96,34 @@ def _insertion_table(n: int, p: int, q: int, anti: bool):
     return tuple(rows)
 
 
+def _roots_of_unity(points: int) -> np.ndarray:
+    """w[m] = exp(-2 pi sqrt(-1) m / points), each angle folded into [0, pi/4].
+
+    The folding is integer arithmetic, so +-1 and +-sqrt(-1) are exact,
+    w[points - m] == conj(w[m]) and w[m + points/2] == -w[m] hold bit for
+    bit, and every entry is within 1.6e-16 of the true root.  A plain exp
+    table is off by up to 1.5e-15: the transform of a constant does not cancel.
+    """
+    a = 8 * np.arange(points)                # the angle is 2 pi a / (8 points)
+    conj = a > 4 * points
+    a = np.where(conj, 8 * points - a, a)    # into [0, pi]
+    neg = a > 2 * points
+    a = np.where(neg, 4 * points - a, a)     # into [0, pi/2], cosine negated
+    swap = a > points
+    a = np.where(swap, 2 * points - a, a)    # into [0, pi/4], cosine and sine swapped
+    theta = (np.pi / (4 * points)) * a
+    re = np.where(swap, np.sin(theta), np.cos(theta))
+    im = np.where(swap, np.cos(theta), np.sin(theta))
+    return np.where(neg, -re, re) - 1j * np.where(conj, -im, im)
+
+
+def _along(ndim: int, axis: int, values: np.ndarray) -> np.ndarray:
+    """``values`` as an array of ndim axes, varying along ``axis`` only."""
+    shape = [1] * ndim
+    shape[axis] = values.size
+    return values.reshape(shape)
+
+
 class TorusGrid:
     """Uniform periodic grid with cached Fourier multipliers and band transform matrices."""
 
@@ -108,22 +133,17 @@ class TorusGrid:
         self.n = n
         self.points = points
         self.shape = (points,) * (2 * n)
-        self.axes = tuple(range(-2 * n, 0))
-        k = sfft.fftfreq(points) * points
-        self._k1d = k
-        # broadcastable per-axis frequency arrays; axis 2j is x^(j+1), 2j+1 is y^(j+1)
-        def along(a):
-            s = [1] * (2 * n)
-            s[a] = points
-            return k.reshape(s)
+        # integer frequencies in fftfreq order
+        k = np.r_[0:(points + 1) // 2, -(points // 2):0]
 
-        self.mz = []
-        self.mzbar = []
-        for j in range(n):
-            kx = along(2 * j)
-            ky = along(2 * j + 1)
-            self.mz.append(np.pi * (ky + 1j * kx))
-            self.mzbar.append(np.pi * (-ky + 1j * kx))
+        def multipliers(freqs):
+            """d/dz^j and d/dzbar^j per j; axis 2j is x^(j+1), 2j+1 is y^(j+1)."""
+            kx = [_along(2 * n, 2 * j, freqs) for j in range(n)]
+            ky = [_along(2 * n, 2 * j + 1, freqs) for j in range(n)]
+            return ([np.pi * (y + 1j * x) for x, y in zip(kx, ky)],
+                    [np.pi * (-y + 1j * x) for x, y in zip(kx, ky)])
+
+        self.mz, self.mzbar = multipliers(k)
         self.dealias_cutoff = points // 3
         # the resolved band: per axis the frequencies 0..c and -c..-1, in
         # fftfreq order, so negating a frequency is index m -> -m mod (2c + 1)
@@ -132,49 +152,36 @@ class TorusGrid:
         width = 2 * c + 1
         self.band_shape = (width,) * (2 * n)
         kb = self._kband = k[keep]
-        # per-axis DFT matrices between the grid and the band, phases from the
-        # exact integer k * j mod points: forward F (width x points),
-        # unnormalized, and inverse G (points x width) with its 1/points
-        phase = np.outer(kb.astype(np.int64), np.arange(points)) % points
-        self._band_fwd = np.exp((-2j * np.pi / points) * phase)
-        self._band_inv = np.ascontiguousarray(np.conj(self._band_fwd).T) / points
+        # per-axis DFT matrices: forward F[k, j] = w[k * j mod points],
+        # unnormalized, and inverse conj(F).T / points; the band keeps their
+        # rows and columns at the kept frequencies
+        fwd = self._fwd = _roots_of_unity(points)[np.outer(k, np.arange(points)) % points]
+        self._inv = np.ascontiguousarray(np.conj(fwd).T) / points
+        self._band_fwd = fwd[keep]
+        self._band_inv = np.ascontiguousarray(self._inv[:, keep])
         neg = (-np.arange(width)) % width
         self._band_neg = np.ravel_multi_index(
             np.meshgrid(*[neg] * (2 * n), indexing="ij"), self.band_shape).ravel()
-
-        def band_along(a):
-            s = [1] * (2 * n)
-            s[a] = width
-            return kb.reshape(s)
-
-        self.band_mz = [np.pi * (band_along(2 * j + 1) + 1j * band_along(2 * j))
-                        for j in range(n)]
-        self.band_mzbar = [np.pi * (-band_along(2 * j + 1) + 1j * band_along(2 * j))
-                           for j in range(n)]
+        self.band_mz, self.band_mzbar = multipliers(kb)
         # sqrt(-1) del dbar on scalars, block-indexed (i, j), on the band
         self.ddbar_band = np.empty((n, n) + self.band_shape, dtype=np.complex128)
         for i in range(n):
             for j in range(n):
                 self.ddbar_band[i, j] = 1j * (self.band_mz[i] * self.band_mzbar[j])
 
-    def cutoff_mask(self, cutoff: int, band: bool = False) -> np.ndarray:
-        """Dense boolean mask keeping |k| <= cutoff on every axis, of the grid or the band."""
-        k = self._kband if band else self._k1d
-        keep1d = np.abs(k) <= cutoff
-        mask = np.ones((k.size,) * (2 * self.n), dtype=bool)
-        for a in range(2 * self.n):
-            s = [1] * (2 * self.n)
-            s[a] = k.size
-            mask &= keep1d.reshape(s)
-        return mask
+    def cutoff_mask(self, cutoff: int) -> np.ndarray:
+        """Dense boolean mask of the band keeping |k| <= cutoff on every axis."""
+        return reduce(np.multiply.outer, [np.abs(self._kband) <= cutoff] * (2 * self.n))
 
     # ---- transforms ----
 
     def fft(self, arr: np.ndarray) -> np.ndarray:
-        return sfft.fftn(arr, axes=self.axes)
+        """Unnormalized DFT of a field (trailing grid axes), as numpy's fftn."""
+        return self._per_axis(self._fwd, arr, self.shape)
 
     def ifft(self, arr: np.ndarray) -> np.ndarray:
-        return sfft.ifftn(arr, axes=self.axes)
+        """Inverse DFT, with its 1/points per axis, as numpy's ifftn."""
+        return self._per_axis(self._inv, arr, self.shape)
 
     def to_band(self, arr: np.ndarray) -> np.ndarray:
         """Fourier coefficients of a field (trailing grid axes) on the resolved band."""
@@ -198,8 +205,9 @@ class TorusGrid:
         transpose copy.  The last product writes straight into the output:
         ``out`` when the caller hands one in (C-contiguous complex, of the
         result's shape), else a new array.  Only the 2n - 1 intermediate
-        products, each smaller than a grid field, are allocated.  Leading
-        component axes are looped over.
+        products are allocated: smaller than a grid field between the grid
+        and the band, the size of one on the full grid.  Leading component
+        axes are looped over.
         """
         lead = arr.shape[:arr.ndim - 2 * self.n]
         if out is None:
@@ -253,12 +261,7 @@ class TorusGrid:
     def coordinates(self):
         """Broadcastable coordinate arrays, ordered (x^1, y^1, ..., x^n, y^n)."""
         t = np.arange(self.points) / self.points
-        out = []
-        for a in range(2 * self.n):
-            s = [1] * (2 * self.n)
-            s[a] = self.points
-            out.append(t.reshape(s))
-        return out
+        return [_along(2 * self.n, a, t) for a in range(2 * self.n)]
 
     # ---- spectral derivative assembly ----
 
@@ -329,8 +332,7 @@ class TorusGrid:
     def truncate(self, a: Form) -> Form:
         """Project a field onto the resolved band."""
         self._check_field(a)
-        mask = self.cutoff_mask(self.dealias_cutoff)
-        return Form(a.n, a.p, a.q, self.ifft(self.fft(a.coeffs) * mask))
+        return Form(a.n, a.p, a.q, self.from_band(self.to_band(a.coeffs)))
 
 
 # ----------------------------------------------------------------------
@@ -454,14 +456,18 @@ def random_band_limited(grid: TorusGrid, rng: np.random.Generator, cutoff: int,
                         real: bool = True, band: bool = False) -> np.ndarray:
     """Band-limited random scalar field with |k| <= cutoff on every axis.
 
-    With ``band`` set, the resolved-band coefficients of the same draw
-    (``cutoff`` must lie in the band); for ``real`` they are those of a real
-    field up to roundoff, since no real part is taken.
+    The draw goes through the resolved band, so ``cutoff`` must lie in it.
+    With ``band`` set, its band coefficients; for ``real`` they are those of
+    a real field up to roundoff, since no real part is taken.
     """
+    if cutoff > grid.dealias_cutoff:
+        raise ValueError(f"cutoff {cutoff} lies outside the resolved band "
+                         f"(|k| <= {grid.dealias_cutoff})")
     noise = rng.standard_normal(grid.shape)
     if not real:
         noise = noise + 1j * rng.standard_normal(grid.shape)
+    hat = grid.to_band(noise) * grid.cutoff_mask(cutoff)
     if band:
-        return grid.to_band(noise) * grid.cutoff_mask(cutoff, band=True)
-    out = grid.ifft(grid.fft(noise) * grid.cutoff_mask(cutoff))
+        return hat
+    out = grid.from_band(hat)
     return out.real if real else out

@@ -92,6 +92,11 @@ def _flat_norm(a: Form) -> float:
     return float(np.sqrt(np.sum(np.abs(a.coeffs) ** 2)))
 
 
+def _worst(*errors: float) -> float:
+    """Largest error, NaN if any is NaN; Python's max drops a NaN that does not come first."""
+    return float(np.max(errors))
+
+
 # ----------------------------------------------------------------------
 # pointwise suites
 # ----------------------------------------------------------------------
@@ -122,7 +127,7 @@ def pointwise_suite(seed: int = DEFAULT_SEED,
             starred = hodge_star(wedge(form_power(fundamental_form(m), n - 2), beta), m)
             contracted = metric_trace(beta, m)
             residual = starred + (flip * fact) * contracted
-            worst = max(worst, _flat_norm(residual) / _flat_norm(beta))
+            worst = _worst(worst, _flat_norm(residual) / _flat_norm(beta))
         results.append(CheckResult(f"star-trace contraction n={n}", worst, 1e-12))
 
     star_worst = 0.0
@@ -141,17 +146,17 @@ def pointwise_suite(seed: int = DEFAULT_SEED,
             lhs = wedge(a, hodge_star(conjugate(b), m)).coeffs[0, 0]
             want = complex(inner_product(a, b, m)) * vol.coeffs[0, 0]
             scale = max(abs(want), _flat_norm(a) * _flat_norm(b), 1e-300)
-            star_worst = max(star_worst, abs(lhs - want) / scale)
+            star_worst = _worst(star_worst, abs(lhs - want) / scale)
             # conjugate symmetry of the pairing
-            pairing_worst = max(
+            pairing_worst = _worst(
                 pairing_worst,
                 abs(complex(inner_product(a, b, m))
                     - complex(inner_product(b, a, m)).conjugate()) / scale,
             )
         w = fundamental_form(m)
-        weil_worst = max(weil_worst, abs(complex(inner_product(w, w, m)) - n))
+        weil_worst = _worst(weil_worst, abs(complex(inner_product(w, w, m)) - n))
         back = metric_of_form(w)
-        round_worst = max(
+        round_worst = _worst(
             round_worst,
             float(np.max(np.abs(back.g - m.g))) / float(np.max(np.abs(m.g))),
         )
@@ -202,8 +207,8 @@ def _varying_metric_errors(grid: TorusGrid, rng: np.random.Generator):
     rhs_t = metric_trace(grid.del_form(omega), m)
     torsion = l2_norm(grid, lhs_t - rhs_t) / max(l2_norm(grid, rhs_t), 1e-300)
     c = chern_form(grid, m)
-    chern = max(l2_norm(grid, conjugate(c) - c),
-                *(l2_norm(grid, dc) for dc in grid.derivatives(c)))
+    chern = _worst(l2_norm(grid, conjugate(c) - c),
+                   *(l2_norm(grid, dc) for dc in grid.derivatives(c)))
     return adj, torsion, chern
 
 
@@ -240,12 +245,12 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
             del bba
             mixed = l2_norm(grid, bda + dba) / norm
             del bda, dba
-            nil_worst = max(nil_worst, dd, bb, mixed)
+            nil_worst = _worst(nil_worst, dd, bb, mixed)
         # integrals of exact top-degree forms vanish
         chi = _grid_draws(grid, rng, n - 1, n)
         eta = _grid_draws(grid, rng, n, n - 1)
         top_scale = max(l2_norm(grid, chi), l2_norm(grid, eta), 1e-300)
-        stokes_worst = max(
+        stokes_worst = _worst(
             stokes_worst,
             abs(integrate(grid, grid.del_form(chi))) / top_scale,
             abs(integrate(grid, grid.dbar_form(eta))) / top_scale,
@@ -258,9 +263,9 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     chern_worst = 0.0
     for grid in grids:
         adj, torsion, chern = _varying_metric_errors(grid, rng)
-        adj_worst = max(adj_worst, adj)
-        torsion_worst = max(torsion_worst, torsion)
-        chern_worst = max(chern_worst, chern)
+        adj_worst = _worst(adj_worst, adj)
+        torsion_worst = _worst(torsion_worst, torsion)
+        chern_worst = _worst(chern_worst, chern)
     results.append(CheckResult("codifferential adjointness", adj_worst, 1e-10))
     results.append(CheckResult("torsion trace identity", torsion_worst, 1e-10))
     results.append(CheckResult("curvature form real and closed", chern_worst, 1e-10))
@@ -274,16 +279,16 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     df = grid.del_form(f)
     s = np.sin(theta)
     spec_err = float(np.max(np.abs(df.coeffs[0, 0] - (-2 * np.pi) * s)))
-    spec_err = max(spec_err, float(np.max(np.abs(df.coeffs[1, 0] - (-1j * np.pi) * s))))
+    spec_err = _worst(spec_err, float(np.max(np.abs(df.coeffs[1, 0] - (-1j * np.pi) * s))))
     results.append(CheckResult("spectral derivative of a wave", spec_err, 1e-11))
 
     flat_err = 0.0
     for grid in grids:
         m = flat_metric(grid.n, grid.shape)
-        flat_err = max(flat_err, abs(integrate(grid, volume_form(m)) - 1.0))
+        flat_err = _worst(flat_err, abs(integrate(grid, volume_form(m)) - 1.0))
         res = residual_norms(grid, fundamental_form(m),
                              Form.zeros(grid.n, 2, 0, grid.shape))
-        flat_err = max(flat_err, max(res.values()))
+        flat_err = _worst(flat_err, *res.values())
     results.append(CheckResult("flat state is exactly structured", flat_err, 1e-13))
     return results
 

@@ -1,10 +1,13 @@
 """Spectral torus calculus: derivatives, integration, codifferentials, curvature."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from plurisym.calculus import (
     TorusGrid,
+    _roots_of_unity,
     chern_form,
     codifferential_dbar,
     codifferential_del,
@@ -184,15 +187,28 @@ def random_fields(grid, real, count=2):
     return f if real else f + 1j * rng.standard_normal(f.shape)
 
 
+def fftn(grid, f):
+    """numpy's FFT over the grid axes: an oracle independent of TorusGrid's engine."""
+    return np.fft.fftn(f, axes=range(-2 * grid.n, 0))
+
+
+def ifftn(grid, f):
+    return np.fft.ifftn(f, axes=range(-2 * grid.n, 0))
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("n, points", BAND_GRIDS)
 def test_to_band_is_the_grid_fft_on_the_band(n, points, real):
     grid = TorusGrid(n, points)
     f = random_fields(grid, real)
-    ref = grid.fft(f)[band_index(grid)]
     band = grid.to_band(f)
     assert band.shape == (2,) + grid.band_shape
-    assert np.max(np.abs(band - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert_close(band, fftn(grid, f)[band_index(grid)])
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -200,11 +216,53 @@ def test_to_band_is_the_grid_fft_on_the_band(n, points, real):
 def test_from_band_is_the_zero_padded_grid_ifft(n, points, real):
     # "real": the band coefficients of a real field
     grid = TorusGrid(n, points)
-    band = grid.fft(random_fields(grid, real))[band_index(grid)]
+    band = fftn(grid, random_fields(grid, real))[band_index(grid)]
     padded = np.zeros((2,) + grid.shape, dtype=np.complex128)
     padded[band_index(grid)] = band
-    ref = grid.ifft(padded)
-    assert np.max(np.abs(grid.from_band(band) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert_close(grid.from_band(band), ifftn(grid, padded))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n, points", BAND_GRIDS)
+def test_grid_fft_and_ifft_are_numpys(n, points, real):
+    # leading component axes (2, 3), as a (1,1)-form's coefficients carry them
+    grid = TorusGrid(n, points)
+    rng = np.random.default_rng(points)
+    f = rng.standard_normal((2, 3) + grid.shape)
+    if not real:
+        f = f + 1j * rng.standard_normal(f.shape)
+    assert_close(grid.fft(f), fftn(grid, f))
+    assert_close(grid.ifft(f), ifftn(grid, f))
+
+
+@pytest.mark.parametrize("points", range(4, 65))
+def test_transforms_match_numpy_on_every_grid_size(points):
+    # integer frequencies: fftfreq(N) * N truncated to int once read 6 for 7
+    # (first at N=17), which put wrong rows in the band matrices
+    grid = TorusGrid(1, points)
+    rng = np.random.default_rng(points)
+    f = rng.standard_normal((2,) + grid.shape) + 1j * rng.standard_normal((2,) + grid.shape)
+    hat = fftn(grid, f)
+    assert_close(grid.fft(f), hat)
+    assert_close(grid.ifft(f), ifftn(grid, f))
+    assert_close(grid.to_band(f), hat[band_index(grid)])
+    padded = np.zeros_like(hat)
+    padded[band_index(grid)] = hat[band_index(grid)]
+    assert_close(grid.from_band(hat[band_index(grid)]), ifftn(grid, padded))
+
+
+@pytest.mark.parametrize("points", range(4, 65))
+def test_roots_of_unity_are_exact_in_their_symmetries(points):
+    w = _roots_of_unity(points)
+    m = np.arange(points)
+    assert np.array_equal(w[(points - m) % points], np.conj(w))
+    if points % 2 == 0:
+        assert np.array_equal(w[(m + points // 2) % points], -w)
+        assert w[points // 2] == -1
+    if points % 4 == 0:
+        assert w[points // 4] == -1j and w[3 * points // 4] == 1j
+    assert w[0] == 1
+    assert np.max(np.abs(w - np.exp(-2j * np.pi * m / points))) <= 2e-15
 
 
 @pytest.mark.parametrize("n, points", [(2, 8), (2, 9), (3, 6)])
@@ -437,6 +495,9 @@ def test_random_band_limited_is_reproducible_and_limited():
     u2 = random_band_limited(grid, np.random.default_rng(10), 2)
     assert np.array_equal(u1, u2)
     assert u1.dtype == np.float64
-    hat = grid.fft(u1.astype(np.complex128))
-    outside = hat[~grid.cutoff_mask(2)]
-    assert np.max(np.abs(outside)) < 1e-10 * np.max(np.abs(hat))
+    hat = np.fft.fftn(u1)
+    keep1d = np.abs(np.fft.fftfreq(grid.points, 1 / grid.points)) <= 2
+    inside = functools.reduce(np.multiply.outer, [keep1d] * 4)
+    assert np.max(np.abs(hat[~inside])) < 1e-10 * np.max(np.abs(hat))
+    with pytest.raises(ValueError, match="outside the resolved band"):
+        random_band_limited(grid, np.random.default_rng(10), grid.dealias_cutoff + 1)

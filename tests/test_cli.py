@@ -11,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import plurisym.cli
 import plurisym.verify
 from plurisym.cli import CSV_COLUMNS, main
 from plurisym.flow import FlowState
 
+ROOT = Path(__file__).resolve().parents[1]
 FROZEN_HEADER = ("t,V,F,d_omega_residual,hs_constraint_residual,"
                  "del_phi_residual,pluriclosed_residual,min_eig_margin")
 
@@ -86,50 +86,55 @@ def test_flow_reruns_are_byte_identical(tmp_path, command, overrides):
     assert b"\r" not in blobs[0]
 
 
-def test_reports_do_not_depend_on_the_fft_worker_count(tmp_path, monkeypatch):
-    # each command runs its full-grid FFTs (here the volume analysis pass)
-    # with one worker per usable CPU; the count changes no bit, and scipy's
-    # own setting is back in place after the command
-    cfg = write_config(tmp_path, flow=VOLUME_FLOW)
-    real_run_flow = plurisym.cli.run_flow
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(scipy.fft.get_workers())
-        return real_run_flow(*args, **kwargs)
-
-    monkeypatch.setattr(plurisym.cli, "run_flow", spy)
-    if hasattr(os, "sched_getaffinity"):
-        assert plurisym.cli._usable_cpus() == len(os.sched_getaffinity(0))
-    before = scipy.fft.get_workers()
-    blobs = []
-    for workers in (1, 3):
-        monkeypatch.setattr(plurisym.cli, "_usable_cpus", lambda: workers)
-        path = tmp_path / f"w{workers}.csv"
-        assert main(["volume", "--config", cfg, "--output", str(path)]) == 0
-        blobs.append(path.read_bytes())
-    assert seen == [1, 3]
-    assert blobs[0] == blobs[1]
-    assert scipy.fft.get_workers() == before
+def run_python(args, **env_overrides):
+    """``python ARGS`` in a child process that imports plurisym from this source tree."""
+    env = dict(os.environ, **env_overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env)
 
 
-def test_flow_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # band transforms are BLAS products; at N=16 they are large enough for
+@pytest.mark.parametrize("command, overrides", [
+    pytest.param("flow", {"flow": {"steps": 10, "sample_every": 5}}, id="flow"),
+    # the volume analysis transforms full-grid fields, also BLAS products
+    pytest.param("volume", {"flow": {"steps": 30, "sample_every": 5}}, id="volume"),
+])
+def test_flow_bytes_do_not_depend_on_blas_threads(tmp_path, command, overrides):
+    # every transform is a BLAS product; at N=16 they are large enough for
     # OpenBLAS to split them over threads, which must not change a bit
-    cfg = write_config(tmp_path, grid=16, initial={"mode_cutoff": 2},
-                       flow={"steps": 10, "sample_every": 5})
-    root = Path(__file__).resolve().parents[1]
+    cfg = write_config(tmp_path, grid=16, initial={"mode_cutoff": 2}, **overrides)
     blobs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
         out = tmp_path / f"threads{threads}.csv"
-        proc = subprocess.run([sys.executable, "-m", "plurisym.cli", "flow", "--config", cfg,
-                               "--output", str(out)], capture_output=True, text=True, env=env)
+        proc = run_python(["-m", "plurisym.cli", command, "--config", cfg,
+                           "--output", str(out)], OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only dependency: with scipy unimportable, the CLI imports
+    # and a small volume runs to its end
+    cfg = write_config(tmp_path, flow=VOLUME_FLOW)
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from plurisym.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = run_python(["-c", script, "volume", "--config", cfg])
+    assert proc.returncode == 0, proc.stderr
+    assert "fitted roots in flow horizon" in proc.stdout
+
+
+def test_flow_keeps_the_volume_on_a_grid_of_17(tmp_path):
+    # N=17 is the first size whose float frequencies fftfreq(N) * N once
+    # truncated wrongly to int (7 -> 6); V drifted to 0.99999902 by t=0.001
+    cfg = write_config(tmp_path, grid=17, initial={"mode_cutoff": 2},
+                       flow={"steps": 10, "sample_every": 5})
+    out = tmp_path / "g17.csv"
+    assert main(["flow", "--config", cfg, "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert abs(float(row[1]) - 1.0) <= 1e-12
 
 
 def test_flow_seed_flag_overrides_config(tmp_path):
@@ -231,6 +236,28 @@ def test_verify_sign_flip_hook_exits_4_and_names_the_suite(tmp_path, capsys,
     assert ",fail" in text
 
 
+def report_rows(path):
+    """name -> (value, status) of a CSV report."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return {row[0]: (row[1], row[-1]) for row in (line.split(",") for line in lines)}
+
+
+def test_verify_fails_a_nan_error_that_does_not_come_first(tmp_path, monkeypatch):
+    # each running maximum starts at 0.0, ahead of any NaN error; Python's max
+    # would drop the NaN there
+    real_trace = plurisym.verify.metric_trace
+    monkeypatch.setattr(plurisym.verify, "metric_trace",
+                        lambda *args: real_trace(*args) * np.nan)
+    out = tmp_path / "nan.csv"
+    assert main(["verify", "--output", str(out)]) == 4
+    failed = {name: value for name, (value, status) in report_rows(out).items()
+              if status == "fail"}
+    assert failed == {"star-trace contraction n=2": "nan",
+                      "star-trace contraction n=3": "nan",
+                      "star-trace contraction n=4": "nan",
+                      "torsion trace identity": "nan"}
+
+
 # ----------------------------------------------------------------------
 # volume
 # ----------------------------------------------------------------------
@@ -257,6 +284,24 @@ def test_volume_flat_kahler_reports_zero_higher_coefficients(tmp_path, capsys):
     for i in (1, 2):
         assert rows[(f"a_{i}", "integral-formula")]["value"] == 0.0
         assert abs(rows[(f"a_{i}", "fitted")]["value"]) < 1e-10
+
+
+def test_volume_fails_a_nan_beta_residual_after_the_first_sample(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, flow=VOLUME_FLOW)
+    real_check = plurisym.cli.check_beta_pluriclosed
+    calls = []
+
+    def nan_at_second_sample(grid, omega, phi, s):
+        calls.append(s)
+        value = real_check(grid, omega, phi, s)
+        return np.nan if s == 1 and calls.count(1) == 2 else value
+
+    monkeypatch.setattr(plurisym.cli, "check_beta_pluriclosed", nan_at_second_sample)
+    out = tmp_path / "nan.csv"
+    assert main(["volume", "--config", cfg, "--output", str(out)]) == 4
+    rows = report_rows(out)
+    assert rows["beta[1] pluriclosed residual (max)"] == ("nan", "fail")
+    assert rows["beta[0] pluriclosed residual (max)"][1] == "pass"
 
 
 def test_volume_tight_tolerance_exits_4(tmp_path, capsys):
@@ -357,16 +402,11 @@ def test_console_script_entry_point_runs_from_the_source_tree():
     # the part of the console-script contract that needs no install: the
     # declared entry point exists and behaves like the installed wrapper
     tomllib = pytest.importorskip("tomllib")
-    root = Path(__file__).resolve().parents[1]
-    with open(root / "pyproject.toml", "rb") as fh:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["plurisym"]
     assert target == "plurisym.cli:main"
     module, func = target.split(":")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    proc = subprocess.run([sys.executable, "-c", wrapper, "obstruct", "1", "-1", "0"],
-                          capture_output=True, text=True, env=env)
+    proc = run_python(["-c", wrapper, "obstruct", "1", "-1", "0"])
     assert proc.returncode == 0, proc.stderr
     assert "obstructed,true" in proc.stdout
