@@ -28,6 +28,7 @@ BLAS's own thread setting changes no bit.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -159,15 +160,12 @@ class TorusGrid:
         self._inv = np.ascontiguousarray(np.conj(fwd).T) / points
         self._band_fwd = fwd[keep]
         self._band_inv = np.ascontiguousarray(self._inv[:, keep])
-        neg = (-np.arange(width)) % width
-        self._band_neg = np.ravel_multi_index(
-            np.meshgrid(*[neg] * (2 * n), indexing="ij"), self.band_shape).ravel()
+        # negating a frequency keeps index 0 of an axis and reverses 1..2c:
+        # per combination of those two parts over the axes, the (out, in)
+        # slices that band_conjugate copies
+        parts = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+        self._band_flips = [tuple(zip(*combo)) for combo in product(parts, repeat=2 * n)]
         self.band_mz, self.band_mzbar = multipliers(kb)
-        # sqrt(-1) del dbar on scalars, block-indexed (i, j), on the band
-        self.ddbar_band = np.empty((n, n) + self.band_shape, dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                self.ddbar_band[i, j] = 1j * (self.band_mz[i] * self.band_mzbar[j])
 
     def cutoff_mask(self, cutoff: int) -> np.ndarray:
         """Dense boolean mask of the band keeping |k| <= cutoff on every axis."""
@@ -227,9 +225,24 @@ class TorusGrid:
     def band_conjugate(self, chat: np.ndarray, p: int, q: int) -> np.ndarray:
         """Band coefficients of conj of a (p,q)-form: sign (-1)^(pq) * conj(F(-k)), swapped."""
         sign = -1 if (p * q) % 2 else 1
-        swapped = np.conj(np.swapaxes(chat, 0, 1))
-        flipped = swapped.reshape(-1, self._band_neg.size).take(self._band_neg, axis=1)
-        return sign * flipped.reshape(swapped.shape)
+        swapped = np.swapaxes(chat, 0, 1)
+        out = np.empty(swapped.shape, dtype=np.complex128)
+        for dst, src in self._band_flips:
+            np.conj(swapped[(Ellipsis,) + src], out=out[(Ellipsis,) + dst])
+        return np.multiply(sign, out, out=out)
+
+    def ddbar_hat(self, u_hat: np.ndarray) -> np.ndarray:
+        """Band coefficients of sqrt(-1) del dbar u, block-indexed (i, j), from a scalar's.
+
+        Each multiplier ``sqrt(-1) mz_i mzbar_j`` is built where it is used;
+        it spans the axes of z^i and z^j only, so no band-sized table is kept.
+        """
+        n = self.n
+        out = np.empty((n, n) + u_hat.shape, dtype=np.complex128)
+        for i in range(n):
+            for j in range(n):
+                np.multiply(1j * (self.band_mz[i] * self.band_mzbar[j]), u_hat, out=out[i, j])
+        return out
 
     def hermitian_from_band(self, g_hat: np.ndarray) -> np.ndarray:
         """Physical (n, n) block of a Hermitian field from its band coefficients.
@@ -395,7 +408,7 @@ def chern_form(grid: TorusGrid, metric: HermitianMetric) -> Form:
     u = np.log(det)
     if u.shape != grid.shape:
         u = np.ascontiguousarray(np.broadcast_to(u, grid.shape))
-    return Form(grid.n, 1, 1, grid.from_band(grid.ddbar_band * grid.to_band(u)))
+    return Form(grid.n, 1, 1, grid.from_band(grid.ddbar_hat(grid.to_band(u))))
 
 
 def residual_norms(grid: TorusGrid, omega: Form, phi: Form) -> dict:

@@ -16,13 +16,16 @@ metric traces and log det).  Positivity of the metric is checked at each
 stage and aborts the run; nothing is regularized.
 
 A state and an RK4 stage are the same thing, a ``FlowState``: band
-coefficients of omega and phi and the metric of omega, the one set of grid
-fields it holds.  Its physical forms are computed from these on first read
-(omega from the metric block, phi by one band transform), so a stage or an
-unsampled step never builds them.  Everything else a stage's rate computes
-on the grid (del omega, dbar phi, the two traces, log det) is built while
-the rate runs and dropped when it returns, del omega before dbar phi is
-built, so a state carries no work fields and the grid holds none either.
+coefficients of omega and phi and the metric of omega, whose block g and
+determinant are the only grid fields it holds.  Its physical forms are
+computed from these on first read (omega from the metric block, phi by one
+band transform), so a stage or an unsampled step never builds them.
+Everything else a stage's rate computes on the grid (del omega, dbar phi,
+the two traces, log det) is built while the rate runs and dropped when it
+returns, del omega before dbar phi is built, so a state carries no work
+fields and the grid holds none either.  No grid-sized inverse metric exists:
+the traces and a record's V and F walk the points in blocks, building each
+block of the inverse from g and det.
 
 Every state lives on the band: the initial data are built there, and
 ``FlowState.make`` takes physical fields there once, refusing a field with
@@ -41,7 +44,7 @@ import numpy as np
 
 from .calculus import (
     TorusGrid,
-    global_inner_product,
+    integrate,
     random_band_limited,
     residual_norms_hat,
 )
@@ -50,10 +53,12 @@ from .errors import ConstraintViolationError, PositivityLostError
 from .forms import (
     Form,
     HermitianMetric,
+    _blocks,
+    blocked_metric_trace,
+    inner_product,
     metric_of_form,
-    metric_trace,
 )
-from .volume import volume_V
+from .volume import beta_form
 
 __all__ = [
     "FlowState",
@@ -81,10 +86,11 @@ class FlowState:
     """Flow state at one instant, and an RK4 stage: band coefficients and the metric.
 
     ``omega_hat`` and ``phi_hat`` are the band coefficients of omega and phi,
-    and ``metric`` is the metric of omega, the only grid-sized array a state
-    holds.  The physical forms ``omega`` and ``phi`` are computed from these
-    on first read and kept; treat them as read-only.  Stages of a step are
-    states that nothing reads, so they never build them.
+    and ``metric`` is the metric of omega; its g and det are the only
+    grid-sized arrays a state holds.  The physical forms ``omega`` and
+    ``phi`` are computed from these on first read and kept; treat them as
+    read-only.  Stages of a step are states that nothing reads, so they
+    never build them, and a record builds phi but not omega.
     """
 
     t: float
@@ -177,16 +183,16 @@ def _omega_velocity(grid: TorusGrid, metric: HermitianMetric,
     pinned in the tests).  Keeping only band coefficients is the dealiasing
     projector.
     """
-    a = metric_trace(Form(grid.n, 2, 1, del_omega), metric)          # (1,0)
+    a = blocked_metric_trace(Form(grid.n, 2, 1, del_omega), metric)  # (1,0)
     c_hat = grid.derivative_hat(grid.to_band(a.coeffs), 1, 0, anti=True)
-    c_hat += 0.5 * (grid.ddbar_band * grid.to_band(np.log(metric.det)))
+    c_hat += 0.5 * grid.ddbar_hat(grid.to_band(np.log(metric.det)))
     return c_hat + grid.band_conjugate(c_hat, 1, 1)
 
 
 def _phi_velocity(grid: TorusGrid, metric: HermitianMetric,
                   dbar_phi: np.ndarray) -> np.ndarray:
     """Band coefficients of the phi velocity: minus del of the metric trace of dbar(phi)."""
-    b = metric_trace(Form(grid.n, 2, 1, dbar_phi), metric)          # (1,0)
+    b = blocked_metric_trace(Form(grid.n, 2, 1, dbar_phi), metric)  # (1,0)
     return -grid.derivative_hat(grid.to_band(b.coeffs), 1, 0, anti=False)
 
 
@@ -217,8 +223,8 @@ def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
 
     ``hermitian_from_band`` makes the metric block Hermitian to the last bit,
     so the metric keeps it with no Hermiticity scan or copy (``herm_tol=None``);
-    positivity is always enforced.  The metric is the only grid field a
-    state keeps; ``_stage_rate`` builds the rest.
+    positivity is always enforced.  The metric's g and det are the only grid
+    fields a state keeps; ``_stage_rate`` builds the rest.
     """
     g = grid.hermitian_from_band(-1j * omega_hat)
     return FlowState(t, omega_hat, phi_hat, HermitianMetric.from_matrix(g, herm_tol=None), grid)
@@ -228,7 +234,9 @@ def _stage_rate(grid: TorusGrid, st: FlowState):
     """Band velocities of a stage, omega's then phi's.
 
     Del omega is built, traced by ``_omega_velocity`` and dropped before
-    dbar phi is built, so the two (2,1)-fields never live at once.
+    dbar phi is built, so the two (2,1)-fields never live at once.  Each
+    trace builds the inverse metric block by block from g and det
+    (``blocked_metric_trace``), so no grid-sized inverse is built.
     """
     omega_vel = _omega_velocity(
         grid, st.metric, grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False)))
@@ -244,8 +252,8 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     (Sylvester's criterion, no eigenvalues); a failure raises
     PositivityLostError and leaves the caller holding the last valid state.
     The last stage is the returned state, and the first stage of the next
-    step.  A stage keeps no grid field but its metric; the fields a rate
-    builds are dropped when it returns.
+    step.  A stage keeps no grid field but its metric's g and det; the
+    fields a rate builds are dropped when it returns.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -360,27 +368,56 @@ def _residuals(grid: TorusGrid, state: FlowState) -> dict:
                               grid.band_conjugate(state.phi_hat, 2, 0))
 
 
+def _volume_and_pairing(grid: TorusGrid, state: FlowState):
+    """V and F of a state, as ``volume_V`` and ``global_inner_product`` read them.
+
+    The points are walked in blocks (``forms._blocks``).  Per block, the
+    top coefficient of ``beta_form`` on omega = sqrt(-1) g and phi, and the
+    pointwise pairing <phi, phi> times det with the block's inverse metric
+    built from g and det, go into one grid-sized array each; the means of
+    those arrays are V and F.  Every point sees the operations of the
+    whole-grid routes, so V and F keep their bits, and no omega form, wedge
+    temporary or inverse metric of grid size is built.
+    """
+    n = grid.n
+    g, det, phi = state.metric.g, state.metric.det, state.phi.coeffs
+    points = det.size
+    g, det, phi = (g.reshape(n, n, points), det.reshape(points),
+                   phi.reshape(phi.shape[:2] + (points,)))
+    top, pairing = (np.empty(grid.shape, dtype=np.complex128) for _ in range(2))
+    for blk in _blocks(points):
+        omega, phi_blk = Form(n, 1, 1, 1j * g[:, :, blk]), Form(n, 2, 0, phi[:, :, blk])
+        top.reshape(points)[blk] = beta_form(phi_blk, omega, 0).coeffs[0, 0]
+        metric = HermitianMetric(n, g[:, :, blk], det[blk])  # the state's, on the block
+        pairing.reshape(points)[blk] = inner_product(phi_blk, phi_blk, metric) * det[blk]
+    return (integrate(grid, Form(n, n, n, top[None, None])).real,
+            complex(np.mean(pairing)).real)
+
+
 def diagnostics_record(grid: TorusGrid, state: FlowState) -> dict:
     """One monitoring record: time, volume, self-pairing, residuals, margin.
 
-    V and F are measured on the state's physical forms, which the record
-    builds on its first read of them; they are the sample's only measurement
-    of V and F, which ``volume.check_derivative_identities`` reads through
-    ``Sample``.  The four residual columns take the band route: the Parseval
-    norms of ``residual_norms_hat`` on the band coefficients of omega, phi
-    and conj(phi) that the state carries, so they transform nothing.  They
-    measure the state the integrator carries; the physical route,
-    ``calculus.residual_norms`` on the state's forms, agrees at roundoff.
+    V and F are the sample's only measurement of V and F, which
+    ``volume.check_derivative_identities`` reads through ``Sample``.  They
+    come from the state's metric and its phi, which the record builds on its
+    first read, in blocks of points (``_volume_and_pairing``); the record
+    never builds the state's omega.  The four residual columns take the band
+    route: the Parseval norms of ``residual_norms_hat`` on the band
+    coefficients of omega, phi and conj(phi) that the state carries, so
+    they transform nothing.  They measure the state the integrator carries;
+    the physical route, ``calculus.residual_norms`` on the state's forms,
+    agrees at roundoff.
     The margin is the smallest eigenvalue of the state's metric; this is where
     a sampled metric computes its eigenvalue range, which stage metrics never do.
     At n=3 that range runs eigvalsh only on the points whose shifted
     Sylvester minors do not certify them away from both extremes.
     """
     res = _residuals(grid, state)
+    V, F = _volume_and_pairing(grid, state)
     return {
         "t": state.t,
-        "V": volume_V(grid, state.omega, state.phi),
-        "F": global_inner_product(grid, state.phi, state.phi, state.metric).real,
+        "V": V,
+        "F": F,
         "d_omega_residual": res["d_omega"],
         "hs_constraint_residual": res["hs_constraint"],
         "del_phi_residual": res["del_phi"],

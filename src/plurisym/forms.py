@@ -49,6 +49,7 @@ __all__ = [
     "inner_product",
     "hodge_star",
     "metric_trace",
+    "blocked_metric_trace",
     "fundamental_form",
     "volume_form",
     "metric_of_form",
@@ -283,6 +284,23 @@ def form_power(a: Form, k: int, payload: Tuple[int, ...] = ()) -> Form:
 # Hermitian metrics
 # ======================================================================
 
+# payload points per block of the metric kernels: the positivity check, the
+# traces with their inverse built per block, and a record's V and F.  A block
+# of one complex entry takes 256 KiB.  Measured on a 2-core Xeon (numpy
+# 2.4.6, best of 40), a trace of a (2,1)-field with its inverse built per
+# block took 23.3, 19.3, 19.0 and 19.1 ms at n=3 N=8 in blocks of 2048, 4096,
+# 8192 and 16384 points (1.28, 1.09, 1.01 and 1.04 ms at n=2 N=16), and the
+# positivity check, whose cost per block is mostly numpy's per-call overhead,
+# 8.3, 6.1 and 6.2 ms at n=3 N=8 in blocks of 4096, 8192 and 16384 (0.78,
+# 0.57 and 0.59 ms at n=2 N=16)
+_BLOCK = 16384
+
+
+def _blocks(points: int):
+    """Consecutive slices of ``_BLOCK`` points covering range(points); the last may be short."""
+    return (slice(start, start + _BLOCK) for start in range(0, points, _BLOCK))
+
+
 def _positive(det, *minors) -> bool:
     """True when det is at least the smallest normal float and every minor is > 0.
 
@@ -294,13 +312,19 @@ def _positive(det, *minors) -> bool:
     """
     if not np.isfinite(det).all():
         raise _positivity_lost(math.nan)
-    return (bool(np.all(np.real(det) >= np.finfo(float).tiny))
-            and all(bool(np.all(np.real(m) > 0.0)) for m in minors))
+    # a minimum holds the test for every entry; np.min keeps a NaN, which fails
+    return (float(np.min(np.real(det))) >= np.finfo(float).tiny
+            and all(float(np.min(np.real(m))) > 0.0 for m in minors))
 
 
 def _finite(*arrays) -> bool:
     """True when every entry of every array is finite."""
     return all(bool(np.isfinite(a).all()) for a in arrays)
+
+
+def _moduli(*entries):
+    """``|u|^2`` of each complex entry, from its real and imaginary parts."""
+    return tuple(u.real * u.real + u.imag * u.imag for u in entries)
 
 
 def _hermitian3_minors(d0, d1, d2, n01, n02, n12, tri):
@@ -322,77 +346,131 @@ def _off_diagonal_terms(u01, u02, u12):
     """``(|u01|^2, |u02|^2, |u12|^2)`` and ``Re(u01 u12 conj(u02))`` for ``_hermitian3_minors``."""
     prod = u01 * u12
     tri = prod.real * u02.real + prod.imag * u02.imag
-    return tuple(u.real * u.real + u.imag * u.imag for u in (u01, u02, u12)), tri
+    return _moduli(u01, u02, u12), tri
+
+
+def _positive_det(g: np.ndarray, n: int):
+    """Real determinant of an (n,n,*payload) stack, or None unless positive definite.
+
+    Positivity is Sylvester's criterion: every leading principal minor is
+    > 0 at every point, and det at least the smallest normal float, so that
+    1 / det is finite.  For n=2 the minors are g00 and det; for n=3, g00,
+    the 2x2 leading minor and det (``_hermitian3_minors``); beyond that
+    ``np.linalg.det`` of the leading blocks.  They are checked before
+    anything divides by det, so a singular or indefinite block returns None
+    without a floating-point warning.  The closed forms' products may
+    overflow on finite entries; that det is not finite, and ``_positive``
+    raises PositivityLostError (margin nan) instead of warning.  A normal det
+    does not yet bound the inverse: a smallest eigenvalue near the subnormal
+    range overflows it.  So the diagonal of the inverse must be finite, or
+    the result is None; it bounds every other entry, since
+    |ginv_ij|^2 <= ginv_ii ginv_jj for a positive definite inverse.  No
+    off-diagonal entry of the inverse is built, and the diagonal only when
+    a bound does not clear it: rounding is monotone, so every diagonal entry
+    ``c * (1 / det)`` is at most ``max|c| * (1 / min det)`` in magnitude,
+    and a finite bound means a finite diagonal.
+
+    g is Hermitian to the last bit, as every ``HermitianMetric`` block is,
+    so the closed forms read the real determinant off its real diagonal and
+    upper triangle.
+    """
+    if n == 2:
+        a, d = g[0, 0].real, g[1, 1].real
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = a * d - _moduli(g[0, 1])[0]
+        minors, cofactors = (a,), (d, a)
+    elif n == 3:
+        d0, d1, d2 = g[0, 0].real, g[1, 1].real, g[2, 2].real
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms, tri = _off_diagonal_terms(g[0, 1], g[0, 2], g[1, 2])
+            lead2, det, c00 = _hermitian3_minors(d0, d1, d2, *norms, tri)
+            cofactors = (c00, d0 * d2 - norms[1], lead2)
+        minors = (d0, lead2)
+    else:
+        stacked = np.moveaxis(g, (0, 1), (-2, -1))
+        det = np.linalg.det(stacked)
+        minors = [np.linalg.det(stacked[..., :k, :k]) for k in range(1, n)]
+    if not _positive(det, *minors):
+        return None
+    if n > 3:
+        return det.real if _finite(np.linalg.inv(stacked)[..., range(n), range(n)]) else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = max(float(np.max(np.abs(c))) for c in cofactors) * (1.0 / float(np.min(det)))
+        if math.isfinite(bound) or _finite(*(c * (1.0 / det) for c in cofactors)):
+            return det
+    return None
+
+
+def _inverse(g: np.ndarray, det, n: int) -> np.ndarray:
+    """Inverse of a positive definite (n,n,*payload) stack from its determinant.
+
+    The closed forms for n = 2 and 3 read g's real diagonal and upper
+    triangle and ``1 / det``; the lower triangle is the conjugate of the
+    upper one.  Beyond that, ``np.linalg.inv``.  Each product of two complex
+    arrays names its operands in one fixed order, ``np.conj(y) * x``: numpy
+    multiplies a temporary of 256 KiB or more in place, in that order, and
+    complex products are not bitwise commutative, so a fixed order makes a
+    block of points round like the whole payload at any size.
+    """
+    entries = _inverse_entries(g, det, n)
+    ginv = np.empty_like(g)
+    for i in range(n):
+        for j in range(n):
+            ginv[i, j] = entries[i][j]
+    return ginv
+
+
+def _inverse_entries(g: np.ndarray, det, n: int):
+    """``_inverse`` as rows of entries, ``[i][j]``; for n = 2 and 3 the diagonal is real.
+
+    The kernels that walk blocks of points multiply these entries as they
+    are: a real entry enters a complex product as the complex number numpy
+    casts it to, so no packed copy is needed.
+    """
+    if n > 3:
+        return np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    inv_det = 1.0 / det
+    rows = [[None] * n for _ in range(n)]
+    if n == 2:
+        rows[0][0], rows[1][1] = g[1, 1].real * inv_det, g[0, 0].real * inv_det
+        rows[0][1] = _negated(g[0, 1]) * inv_det
+    else:
+        # the diagonal's cofactors are those of _positive_det
+        d0, d1, d2 = g[0, 0].real, g[1, 1].real, g[2, 2].real
+        u01, u02, u12 = g[0, 1], g[0, 2], g[1, 2]
+        n01, n02, n12 = _moduli(u01, u02, u12)
+        rows[0][0] = (d1 * d2 - n12) * inv_det
+        rows[1][1] = (d0 * d2 - n02) * inv_det
+        rows[2][2] = (d0 * d1 - n01) * inv_det
+        rows[0][1] = (np.conj(u12) * u02 - u01 * d2) * inv_det
+        rows[0][2] = (u01 * u12 - u02 * d1) * inv_det
+        rows[1][2] = (np.conj(u01) * u02 - d0 * u12) * inv_det
+    for i, j in combinations(range(n), 2):
+        rows[j][i] = np.conj(rows[i][j])
+    return rows
+
+
+def _negated(z):
+    """-z, bit for bit.
+
+    An array whose last axis is contiguous is negated through its float
+    view: numpy vectorizes float negation and not complex negation, and
+    either flips the same sign bits.
+    """
+    if np.ndim(z) and z.strides[-1] == z.itemsize:
+        return np.negative(z.view(np.float64)).view(np.complex128)
+    return -z
 
 
 def _positive_det_inv(g: np.ndarray, n: int):
     """Determinant and inverse of an (n,n,*payload) stack, or None unless positive definite.
 
-    Positivity is Sylvester's criterion: every leading principal minor is
-    > 0 at every point, and det at least the smallest normal float, so that
-    1 / det is finite.  For n=2 the minors are g00 and det; for n=3, g00,
-    the adjugate's (2,2) cofactor and det, all from the closed-form inverse;
-    beyond that ``np.linalg.det`` of the leading blocks.  They are checked
-    before anything divides by det, so a singular or indefinite block returns
-    None without a floating-point warning.  The closed forms' products may
-    overflow on finite entries; that det is not finite, and ``_positive``
-    raises PositivityLostError (margin nan) instead of warning.  A normal det
-    does not yet bound the inverse: a smallest eigenvalue near the subnormal
-    range overflows it.  So the diagonal of the inverse is computed first and
-    must be finite, or the result is None; it bounds every other entry, since
-    |ginv_ij|^2 <= ginv_ii ginv_jj for a positive definite inverse.
-
-    g is Hermitian to the last bit, as every ``HermitianMetric`` block is,
-    so the closed forms read the real determinant and the inverse off its
-    real diagonal and upper triangle (for n=3 through ``_hermitian3_minors``);
-    the inverse's lower triangle is the conjugate of its upper one.
+    The whole payload at once: ``_positive_det`` and ``_inverse`` over every
+    point.  The reference the blocked routes (``HermitianMetric.from_matrix``,
+    ``blocked_metric_trace``) are checked against, bit for bit.
     """
-    if n == 2:
-        a, d, b = g[0, 0].real, g[1, 1].real, g[0, 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = a * d - (b.real * b.real + b.imag * b.imag)
-        if not _positive(det, a):
-            return None
-        inv_det = 1.0 / det
-        with np.errstate(over="ignore"):
-            diag = (d * inv_det, a * inv_det)
-        if not _finite(*diag):
-            return None
-        ginv = np.empty_like(g)
-        ginv[0, 0], ginv[1, 1] = diag
-        ginv[0, 1] = -b * inv_det
-        ginv[1, 0] = np.conj(ginv[0, 1])
-        return det, ginv
-    if n == 3:
-        d0, d1, d2 = g[0, 0].real, g[1, 1].real, g[2, 2].real
-        u01, u02, u12 = g[0, 1], g[0, 2], g[1, 2]
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms, tri = _off_diagonal_terms(u01, u02, u12)
-            lead2, det, c00 = _hermitian3_minors(d0, d1, d2, *norms, tri)
-        if not _positive(det, d0, lead2):
-            return None
-        inv_det = 1.0 / det
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag = (c00 * inv_det, (d0 * d2 - norms[1]) * inv_det, lead2 * inv_det)
-        if not _finite(*diag):
-            return None
-        ginv = np.empty_like(g)
-        ginv[0, 0], ginv[1, 1], ginv[2, 2] = diag
-        ginv[0, 1] = (u02 * np.conj(u12) - u01 * d2) * inv_det
-        ginv[0, 2] = (u01 * u12 - u02 * d1) * inv_det
-        ginv[1, 2] = (u02 * np.conj(u01) - d0 * u12) * inv_det
-        ginv[1, 0] = np.conj(ginv[0, 1])
-        ginv[2, 0] = np.conj(ginv[0, 2])
-        ginv[2, 1] = np.conj(ginv[1, 2])
-        return det, ginv
-    stacked = np.moveaxis(g, (0, 1), (-2, -1))
-    det = np.linalg.det(stacked)
-    if not _positive(det, *(np.linalg.det(stacked[..., :k, :k]) for k in range(1, n))):
-        return None
-    ginv = np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
-    if not _finite(*(ginv[i, i] for i in range(n))):
-        return None
-    return det, ginv
+    det = _positive_det(g, n)
+    return None if det is None else (det, _inverse(g, det, n))
 
 
 # relative rounding slack of the certified n=3 eigenvalue range
@@ -486,23 +564,30 @@ def _positivity_lost(margin: float) -> PositivityLostError:
 
 @dataclass(eq=False, repr=False)
 class HermitianMetric:
-    """Validated positive Hermitian metric with its inverse and determinant.
+    """Validated positive Hermitian metric: the block g and its determinant.
 
-    g is Hermitian to the last bit (see ``from_matrix``).  The eigenvalue
-    range (``margin``, ``max_eig``) is not needed to validate the metric; it
-    is computed on first read and cached.  At n=3 that read runs eigvalsh
-    only at the points the certified range of ``_eig_range`` leaves, a few
-    hundred of an N=8 grid's 262 144.
+    g and det are the only payload-sized arrays a metric keeps.  g is
+    Hermitian to the last bit (see ``from_matrix``).  The inverse ``ginv``
+    and the eigenvalue range (``margin``, ``max_eig``) are not needed to
+    validate the metric; each is computed on first read and cached.  The
+    flow's kernels never read ``ginv``: they build its blocks from g and det
+    as they walk the points (``blocked_metric_trace``).  At n=3 the
+    eigenvalue range runs eigvalsh only at the points the certified range of
+    ``_eig_range`` leaves, a few hundred of an N=8 grid's 262 144.
     """
 
     n: int
     g: np.ndarray       # (n, n, *payload)
-    ginv: np.ndarray
     det: np.ndarray     # real, payload-shaped
 
     @property
     def payload(self) -> Tuple[int, ...]:
         return self.g.shape[2:]
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        """The inverse block, from g and det by the closed forms of ``_inverse``."""
+        return _inverse(self.g, self.det, self.n)
 
     @cached_property
     def eig_range(self) -> Tuple[float, float]:
@@ -534,12 +619,23 @@ class HermitianMetric:
         overflows (a smallest eigenvalue near the subnormal range), and with
         margin nan when g holds a non-finite entry or its determinant
         overflows.
+
+        After one finiteness scan of the whole of g, ``_blocked_det`` checks
+        the points in blocks of ``_BLOCK``, writing det into one
+        payload-sized array; no block of the inverse is kept.  Every block is
+        checked, so a determinant that overflows anywhere raises with margin
+        nan, as the whole-payload check does; otherwise a failed block
+        raises with the eigenvalue margin once the walk ends.
         """
         g = np.asarray(g, dtype=np.complex128)
         n = g.shape[0]
         if g.shape[:2] != (n, n):
             raise ValueError(f"metric block must be square, got {g.shape[:2]}")
-        if not np.isfinite(g).all():
+        # a non-finite entry makes the sum non-finite; only a sum that
+        # overflowed on finite entries needs the scan of every entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = g.sum()
+        if not (np.isfinite(total) or np.isfinite(g).all()):
             raise _positivity_lost(math.nan)
         if herm_tol is not None:
             defect = _hermiticity_defect(g)
@@ -550,11 +646,31 @@ class HermitianMetric:
                 g[i, i] = raw[i, i].real
             for i, j in zip(*np.triu_indices(n, 1)):
                 g[i, j], g[j, i] = raw[i, j], np.conj(raw[i, j])
-        det_inv = _positive_det_inv(g, n)
-        if det_inv is None:
+        det = _blocked_det(g, n)
+        if det is None:
             raise _positivity_lost(_eig_range(g, n)[0])
-        det, ginv = det_inv
-        return cls(n, g, ginv, det.real)
+        return cls(n, g, det)
+
+
+def _blocked_det(g: np.ndarray, n: int):
+    """``_positive_det`` of g, block by block: the payload-shaped det, or None.
+
+    A single point (payload ``()``) is checked as it is: numpy's complex
+    scalar product rounds differently from its array loops.
+    """
+    if g.ndim == 2:
+        return _positive_det(g, n)
+    flat = g.reshape(n, n, -1)
+    det = np.empty(g.shape[2:])
+    flat_det = det.reshape(-1)
+    positive = True
+    for blk in _blocks(flat_det.size):
+        block_det = _positive_det(flat[:, :, blk], n)
+        if block_det is None:
+            positive = False
+        else:
+            flat_det[blk] = block_det
+    return det if positive else None
 
 
 def flat_metric(n: int, payload: Tuple[int, ...] = ()) -> HermitianMetric:
@@ -612,7 +728,10 @@ def inner_product(a: Form, b: Form, metric: Optional[HermitianMetric] = None):
 
     ``metric=None`` means the identity metric, for which the increasing basis
     is orthonormal.  In general the pairing of basis monomials is the product
-    of the holomorphic and antiholomorphic Gram determinants.
+    of the holomorphic and antiholomorphic Gram determinants.  The conjugated
+    coefficient comes first in each product, the order numpy takes for a
+    temporary of 256 KiB or more (see ``_inverse``), so a block of points
+    pairs like the whole payload.
     """
     a._check_compatible(b)
     ca, cb = _align_payloads(a.coeffs, b.coeffs)
@@ -633,7 +752,7 @@ def inner_product(a: Form, b: Form, metric: Optional[HermitianMetric] = None):
                 for gj, L in enumerate(anti):
                     # <dzbar^J, dzbar^L> = det ginv[J_a, L_b]
                     adet = _minor_det(ginv, J, L)
-                    total = total + ca[bi, bj] * np.conj(cb[gi, gj]) * hdet * adet
+                    total = total + np.conj(cb[gi, gj]) * ca[bi, bj] * hdet * adet
     return total
 
 
@@ -718,14 +837,6 @@ def _trace_table(n, p, q):
     return tuple(rows)
 
 
-# payload points per block of metric_trace: a block's operands, term and
-# output slot take 64 KiB each and stay in cache.  Measured on a 2-core Xeon
-# (numpy 2.4.6), a trace of a (2,1)-field at n=3 N=8 took 15.7 ms (median of
-# 15) in blocks of 4096, 19.8 ms in 2048, 17.6 ms in 8192, 28.2 ms in 65536
-# and 23.4 ms as one product per row over the whole grid
-_TRACE_BLOCK = 4096
-
-
 def _flat_payload(x: np.ndarray, payload: Tuple[int, ...]) -> np.ndarray:
     """x (two basis axes, then a payload broadcasting to ``payload``) as (r, c, points).
 
@@ -749,35 +860,63 @@ def metric_trace(a: Form, metric: HermitianMetric) -> Form:
     coefficient and adds the product to (or subtracts it from) its output
     slot, in table order.  A payload of points (the grid, or a form and a
     metric that broadcast against each other) is flattened and walked in
-    blocks of ``_TRACE_BLOCK`` points, each row's product going into one
-    block-sized term buffer, so every point sees the same sums in the same
-    order as a per-row product of whole fields and nothing of the payload's
-    size is allocated but the output.  A single point (payload ``()``)
-    multiplies numpy scalars instead: their complex product rounds without
-    the fused multiply-add of numpy's array loops, and the point results
-    keep those bits.
+    blocks of ``_BLOCK`` points (``_trace_blocks``).  A single point
+    (payload ``()``) multiplies numpy scalars instead: their complex product
+    rounds without the fused multiply-add of numpy's array loops, and the
+    point results keep those bits.
     """
     n = a.n
     payload = np.broadcast_shapes(a.payload, metric.payload)
+    if payload:
+        ginv = _flat_payload(metric.ginv, payload)
+        return _trace_blocks(a, payload, lambda blk: ginv[:, :, blk])
+    out = np.zeros((_basis_dim(n, a.p - 1), _basis_dim(n, a.q - 1)), dtype=np.complex128)
+    for oi, oj, ahol, banti, ii, ij, sign in _trace_table(n, a.p, a.q):
+        product = metric.ginv[banti, ahol] * a.coeffs[ii, ij]
+        out[oi, oj] = out[oi, oj] - product if sign < 0 else out[oi, oj] + product
+    return Form(n, a.p - 1, a.q - 1, out)
+
+
+def blocked_metric_trace(a: Form, metric: HermitianMetric) -> Form:
+    """``metric_trace`` without the metric's inverse, bit for bit.
+
+    Each block of points builds its block of the inverse from g and the
+    metric's det by the closed forms of ``_inverse_entries`` and traces it,
+    so nothing of the inverse outlives its block and the metric's ``ginv``
+    is never read.  A metric that is not on the full payload, a single
+    point or one broadcast over the form's points, is traced by
+    ``metric_trace``: its inverse is its own, of its own payload.
+    """
+    payload = np.broadcast_shapes(a.payload, metric.payload)
+    if not payload or metric.payload != payload:
+        return metric_trace(a, metric)
+    g, det = metric.g.reshape(a.n, a.n, -1), np.reshape(metric.det, -1)
+    return _trace_blocks(a, payload, lambda blk: _inverse_entries(g[:, :, blk], det[blk], a.n))
+
+
+def _trace_blocks(a: Form, payload: Tuple[int, ...], inverse_of) -> Form:
+    """``metric_trace`` of a on a payload of points, walked in blocks of ``_BLOCK``.
+
+    ``inverse_of(blk)`` gives the inverse on a slice of the flat payload,
+    indexed ``[i][j]``: an (n, n, block) array or ``_inverse_entries``.  The rows of ``_trace_table`` are bound to their
+    operands once; per block, each row's product goes into one block-sized
+    term buffer, so every point sees the same sums in the same order as a
+    per-row product of whole fields and nothing of the payload's size is
+    allocated but the output.
+    """
+    n = a.n
     shape = (_basis_dim(n, a.p - 1), _basis_dim(n, a.q - 1)) + payload
     out = np.zeros(shape, dtype=np.complex128)
-    table = _trace_table(n, a.p, a.q)
-    if not payload:
-        for oi, oj, ahol, banti, ii, ij, sign in table:
-            product = metric.ginv[banti, ahol] * a.coeffs[ii, ij]
-            out[oi, oj] = out[oi, oj] - product if sign < 0 else out[oi, oj] + product
-        return Form(n, a.p - 1, a.q - 1, out)
     points = math.prod(payload)
-    term = np.empty(min(_TRACE_BLOCK, points), dtype=np.complex128)
+    term = np.empty(min(_BLOCK, points), dtype=np.complex128)
     flat_out = out.reshape(shape[:2] + (points,))
-    ginv, coeffs = _flat_payload(metric.ginv, payload), _flat_payload(a.coeffs, payload)
-    rows = [(flat_out[oi, oj], ginv[banti, ahol], coeffs[ii, ij],
-             np.subtract if sign < 0 else np.add)
-            for oi, oj, ahol, banti, ii, ij, sign in table]
-    for start in range(0, points, _TRACE_BLOCK):
-        blk = slice(start, start + _TRACE_BLOCK)
-        t = term[:min(_TRACE_BLOCK, points - start)]
-        for o, g, c, accumulate in rows:
-            np.multiply(g[blk], c[blk], out=t)
+    coeffs = _flat_payload(a.coeffs, payload)
+    rows = [(flat_out[oi, oj], banti, ahol, coeffs[ii, ij], np.subtract if sign < 0 else np.add)
+            for oi, oj, ahol, banti, ii, ij, sign in _trace_table(n, a.p, a.q)]
+    for blk in _blocks(points):
+        ginv = inverse_of(blk)
+        t = term[:min(_BLOCK, points - blk.start)]
+        for o, row, col, c, accumulate in rows:
+            np.multiply(ginv[row][col], c[blk], out=t)
             accumulate(o[blk], t, out=o[blk])
     return Form(n, a.p - 1, a.q - 1, out)

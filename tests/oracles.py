@@ -207,6 +207,32 @@ def oracle_trace_rows(a: Form, ginv: np.ndarray) -> Form:
     return out
 
 
+def oracle_band_conjugate(grid, chat: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Band coefficients of conj of a (p,q)-form through one flat index of the whole band.
+
+    The index maps each band point to the point of the negated frequency; it
+    is built from meshgrid index arrays as large as the band, which
+    ``TorusGrid`` no longer stores.
+    """
+    width = 2 * grid.dealias_cutoff + 1
+    neg = (-np.arange(width)) % width
+    flat = np.ravel_multi_index(np.meshgrid(*[neg] * (2 * grid.n), indexing="ij"),
+                                grid.band_shape).ravel()
+    sign = -1 if (p * q) % 2 else 1
+    swapped = np.conj(np.swapaxes(chat, 0, 1))
+    return sign * swapped.reshape(-1, flat.size).take(flat, axis=1).reshape(swapped.shape)
+
+
+def oracle_ddbar_band(grid) -> np.ndarray:
+    """The band-sized table of sqrt(-1) mz_i mzbar_j, block-indexed (i, j)."""
+    n = grid.n
+    table = np.empty((n, n) + grid.band_shape, dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            table[i, j] = 1j * (grid.band_mz[i] * grid.band_mzbar[j])
+    return table
+
+
 def random_point_form(rng, n, p, q, scale=1.0) -> Form:
     shape = (math.comb(n, p), math.comb(n, q))
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -1,6 +1,8 @@
 """Spectral torus calculus: derivatives, integration, codifferentials, curvature."""
 
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from plurisym.forms import (
     wedge,
 )
 
-from oracles import random_hermitian_positive
+from oracles import oracle_band_conjugate, oracle_ddbar_band, random_hermitian_positive
 
 
 def random_field(grid, rng, p, q, cutoff=1):
@@ -295,6 +297,60 @@ def test_from_band_refuses_an_output_it_cannot_fill():
             grid.from_band(band, out=bad)
 
 
+# ----------------------------------------------------------------------
+# band maps built where they are used
+# ----------------------------------------------------------------------
+
+# elided (16 384 points and more) and unelided grid sizes, odd ones included
+TABLE_GRIDS = [(2, 8), (2, 16), (2, 17), (3, 4), (3, 6)]
+
+
+@pytest.mark.parametrize("n, points", TABLE_GRIDS)
+def test_band_conjugate_matches_the_flat_index_route_bytewise(n, points):
+    # per-axis flips move the entries the old flat index of the whole band
+    # moved; bytes are compared, so the signs of zeros count too
+    grid = TorusGrid(n, points)
+    rng = np.random.default_rng(points)
+    for p, q in ((0, 0), (1, 1), (2, 0), (2, 1)):
+        shape = (math.comb(n, p), math.comb(n, q)) + grid.band_shape
+        chat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        chat.reshape(-1)[::7] = complex(-0.0, 0.0)
+        chat.reshape(-1)[::11] = complex(0.0, -0.0)
+        got = grid.band_conjugate(chat, p, q)
+        want = oracle_band_conjugate(grid, chat, p, q)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, points", TABLE_GRIDS)
+def test_ddbar_and_chern_form_match_the_stored_table_bytewise(n, points):
+    grid = TorusGrid(n, points)
+    rng = np.random.default_rng(points + 1)
+    table = oracle_ddbar_band(grid)
+    u_hat = rng.standard_normal(grid.band_shape) + 1j * rng.standard_normal(grid.band_shape)
+    assert grid.ddbar_hat(u_hat).tobytes() == (table * u_hat).tobytes()
+    metric = random_metric_field(grid, rng, eps=0.3)
+    want = grid.from_band(table * grid.to_band(np.log(metric.det)))
+    assert chern_form(grid, metric).coeffs.tobytes() == want.tobytes()
+
+
+def test_a_grid_allocates_nothing_of_band_size():
+    # at n=3 N=64 the band holds 43^6 points, and one index array over it
+    # took 47 GiB; the grid keeps per-axis matrices, multipliers and flips
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        grid = TorusGrid(3, 64)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert grid.band_shape == (43,) * 6
+    assert peak < 2 ** 20
+
+
 def test_flat_metric_from_the_band_is_exact():
     # only k=0 set: every entry of the inverse matrix's first column is 1/16
     grid = TorusGrid(2, 16)
@@ -473,7 +529,7 @@ def test_chern_form_refuses_a_nan_determinant():
     det = flat.det.copy()
     det[1, 2, 3, 4] = np.nan
     with pytest.raises(ValueError, match="not positive"):
-        chern_form(grid, HermitianMetric(2, flat.g, flat.ginv, det))
+        chern_form(grid, HermitianMetric(2, flat.g, det))
 
 
 # ----------------------------------------------------------------------

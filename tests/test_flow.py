@@ -11,6 +11,7 @@ from plurisym.calculus import (
     chern_form,
     codifferential_dbar,
     codifferential_del,
+    global_inner_product,
     random_band_limited,
     residual_norms,
 )
@@ -30,6 +31,9 @@ from plurisym.flow import (
     step_rk4,
 )
 from plurisym.forms import Form, conjugate, flat_metric, fundamental_form, metric_of_form
+from plurisym.volume import volume_V
+
+from oracles import oracle_band_conjugate, oracle_ddbar_band
 
 
 @pytest.fixture(scope="module")
@@ -298,26 +302,46 @@ def test_band_fields_per_step(count_fields, make, n, points, cutoff):
         assert sum(fields) == {2: 44, 3: 120}[n]
 
 
-def test_step_peak_memory_above_the_live_state():
-    # tracemalloc peak of one n=3 N=6 step over what was live before it, in
-    # full-grid complex scalar fields; building del omega and dbar phi one at
-    # a time in the rate, and the blocked trace, keep it near 59, where
-    # stages holding both fields took 68
-    grid = TorusGrid(3, 6)
-    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+def peak_fields_above_live(grid, fn):
+    """(fn(), its tracemalloc peak over what was live before it, in complex grid fields)."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         live = tracemalloc.get_traced_memory()[0]
-        out = step_rk4(grid, st, 1e-4)
+        out = fn()
         peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         if started:
             tracemalloc.stop()
+    return out, peak / (16 * grid.points ** (2 * grid.n))
+
+
+def test_step_peak_memory_above_the_live_state():
+    # tracemalloc peak of one n=3 N=6 step over what was live before it, in
+    # full-grid complex scalar fields.  Stages that keep g and det only, and
+    # traces that build the inverse block by block, measure 46.4; stages
+    # that kept the inverse measured 58.6, and stages holding del omega and
+    # dbar phi at once 68
+    grid = TorusGrid(3, 6)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    out, peak = peak_fields_above_live(grid, lambda: step_rk4(grid, st, 1e-4))
     assert out.t > 0.0
-    assert peak / (16 * grid.points ** 6) < 63.5
+    assert peak < 48.5
+
+
+def test_record_peak_memory_above_the_live_state():
+    # a record of an n=3 N=6 state walks V and F over blocks of points: it
+    # builds phi (3 fields, kept on the state), two grid-sized point arrays
+    # and block temporaries, and measures 16.6 fields; with the state's
+    # omega, full-grid wedge powers and the inverse it measured 27
+    grid = TorusGrid(3, 6)
+    st = step_rk4(grid, make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1), 1e-4)
+    rec, peak = peak_fields_above_live(grid, lambda: diagnostics_record(grid, st))
+    assert rec["V"] > 0.0
+    assert "omega" not in vars(st) and "ginv" not in vars(st.metric)
+    assert peak < 18.0
 
 
 @pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
@@ -342,13 +366,55 @@ def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
     for stage in [st] + stages:
         assert list(vars(stage)) == ["t", "omega_hat", "phi_hat", "metric", "grid"]
         assert stage.omega_hat.shape[2:] == stage.phi_hat.shape[2:] == grid.band_shape
+        # of grid size, a stage holds its metric's g and det, and no inverse
+        assert list(vars(stage.metric)) == ["n", "g", "det"]
+        assert stage.metric.g.shape[2:] == stage.metric.det.shape == grid.shape
+
+
+@pytest.mark.parametrize("n, points, cutoff", [(2, 8, 2), (2, 16, 2), (3, 4, 1), (3, 6, 2)])
+def test_steps_match_the_band_table_route_bytewise(n, points, cutoff, monkeypatch):
+    # conjugation by per-axis flips and the curvature multiplier built where
+    # it is used step the flow as the flat band index and the stored table did
+    grid = TorusGrid(n, points)
+    start = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=cutoff)
+
+    def three_steps():
+        st = start
+        for _ in range(3):
+            st = step_rk4(grid, st, 1e-4)
+        return st
+
+    mine = three_steps()
+    table = oracle_ddbar_band(grid)
+    monkeypatch.setattr(TorusGrid, "band_conjugate", oracle_band_conjugate)
+    monkeypatch.setattr(TorusGrid, "ddbar_hat", lambda self, u_hat: table * u_hat)
+    theirs = three_steps()
+    for name in ("omega_hat", "phi_hat"):
+        assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes(), name
+    assert mine.metric.g.tobytes() == theirs.metric.g.tobytes()
+
+
+@pytest.mark.parametrize("block", [4096, None], ids=["block4096", "default"])
+@pytest.mark.parametrize("n, points", [(3, 6), (2, 17)])
+def test_record_v_and_f_match_the_whole_grid_routes_bitwise(n, points, block, monkeypatch):
+    # V and F walked over blocks of points, remainder block included, against
+    # volume_V on the state's forms and global_inner_product on its metric
+    if block:
+        monkeypatch.setattr(forms_mod, "_BLOCK", block)
+    grid = TorusGrid(n, points)
+    st = step_rk4(grid, make_initial_hs(grid, epsilon=0.05, seed=7), 1e-4)
+    rec = diagnostics_record(grid, st)
+    assert "omega" not in vars(st)
+    assert rec["V"] == volume_V(grid, st.omega, st.phi)
+    assert rec["F"] == global_inner_product(grid, st.phi, st.phi, st.metric).real
 
 
 @pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
 def test_physical_forms_are_built_on_first_read_only(n, points):
     # of two steps only the second is recorded: the first state never builds
-    # omega or phi, and the record builds the second's once, as the
-    # expressions the stepper built for every state before, bit for bit
+    # omega or phi, and the record builds the second's phi once and never
+    # its omega (V and F read the metric block); both are the expressions
+    # the stepper built for every state before, bit for bit
     grid = TorusGrid(n, points)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     assert "omega" not in vars(st) and "phi" not in vars(st)
@@ -356,7 +422,8 @@ def test_physical_forms_are_built_on_first_read_only(n, points):
     read = step_rk4(grid, unread, 1e-4)
     diagnostics_record(grid, read)
     assert "omega" not in vars(unread) and "phi" not in vars(unread)
-    assert vars(read)["omega"] is read.omega and vars(read)["phi"] is read.phi
+    assert "omega" not in vars(read) and vars(read)["phi"] is read.phi
+    assert read.omega is vars(read)["omega"]
     assert np.array_equal(read.omega.coeffs, 1j * read.metric.g)
     assert np.array_equal(read.phi.coeffs, grid.from_band(read.phi_hat))
     assert read.omega.bidegree == (1, 1) and read.phi.bidegree == (2, 0)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import plurisym.forms as forms_mod
 from plurisym.errors import PositivityLostError
 from plurisym.calculus import TorusGrid
 from plurisym.config import DEFAULT_GRID
@@ -13,8 +14,11 @@ from plurisym.flow import make_initial_hs, step_rk4
 from plurisym.forms import (
     _eig_range,
     _hermiticity_defect,
+    _inverse,
+    _positive_det_inv,
     Form,
     HermitianMetric,
+    blocked_metric_trace,
     conjugate,
     flat_metric,
     flat_volume_coefficient,
@@ -461,6 +465,152 @@ def test_metric_rejects_a_single_defect(n, entry, bump):
 
 
 # ----------------------------------------------------------------------
+# blocked metric kernels
+# ----------------------------------------------------------------------
+
+# grids whose last block is a remainder: 46 656 = 11 * 4096 + 1600 =
+# 2 * 16 384 + 13 888 points, and 83 521 = 20 * 4096 + 1601 = 5 * 16 384 + 1601
+REMAINDER_GRIDS = [(3, 6), (2, 17)]
+
+
+def flat_points(x):
+    """x (two basis axes, then a C-contiguous payload) as (r, c, points)."""
+    return x.reshape(x.shape[:2] + (-1,))
+
+
+@pytest.mark.parametrize("block", [4096, None], ids=["block4096", "default"])
+@pytest.mark.parametrize("n, points", REMAINDER_GRIDS)
+def test_blocked_metric_kernels_match_the_whole_payload_bytewise(n, points, block, monkeypatch):
+    # the positivity check, the inverse, the trace and the pairing, walked in
+    # blocks, against the same closed forms over the whole payload at once;
+    # complex products name one operand order, so the block size moves no bit
+    if block:
+        monkeypatch.setattr(forms_mod, "_BLOCK", block)
+    grid = TorusGrid(n, points)
+    state = step_rk4(grid, make_initial_hs(grid), 1e-4)
+    g, size = state.metric.g, points ** (2 * n)
+    det, ginv = _positive_det_inv(g, n)
+    m = HermitianMetric.from_matrix(g, herm_tol=None)
+    assert list(vars(m)) == ["n", "g", "det"]
+    assert m.det.tobytes() == det.tobytes() == state.metric.det.tobytes()
+    assert m.ginv.tobytes() == ginv.tobytes()
+    blocks = list(forms_mod._blocks(size))
+    assert len(blocks) == -(-size // forms_mod._BLOCK) and size % forms_mod._BLOCK
+    flat_g, flat_det = flat_points(g), det.reshape(-1)
+    pieces = [_inverse(flat_g[:, :, blk], flat_det[blk], n) for blk in blocks]
+    assert np.concatenate(pieces, axis=2).tobytes() == ginv.tobytes()
+    # the trace a stage takes, against metric_trace of the whole inverse
+    a = Form(n, 2, 1, grid.from_band(grid.derivative_hat(state.omega_hat, 1, 1, anti=False)))
+    assert (blocked_metric_trace(a, state.metric).coeffs.tobytes()
+            == metric_trace(a, m).coeffs.tobytes())
+    assert "ginv" not in vars(state.metric)
+    # the pairing a record takes
+    phi = flat_points(state.phi.coeffs)
+    pieces = [inner_product(Form(n, 2, 0, phi[:, :, blk]), Form(n, 2, 0, phi[:, :, blk]),
+                            HermitianMetric(n, flat_g[:, :, blk], flat_det[blk]))
+              for blk in blocks]
+    whole = inner_product(state.phi, state.phi, m)
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+def blocked_stack(n, blocks=3, extra=100):
+    """A positive Hermitian stack over several blocks of points, the last one short."""
+    rng = np.random.default_rng(53 + n)
+    points = blocks * forms_mod._BLOCK + extra
+    noise = 0.05 * (rng.standard_normal((n, n, points))
+                    + 1j * rng.standard_normal((n, n, points)))
+    return hermitian_part(np.eye(n)[:, :, None] + noise)
+
+
+def whole_payload_margin(g, n):
+    """The margin the whole-payload route raises with on g, or None when g passes."""
+    try:
+        passed = _positive_det_inv(g, n) is not None
+    except PositivityLostError as err:
+        return err.margin
+    return None if passed else _eig_range(g, n)[0]
+
+
+def set_point(g, k, diag):
+    g[:, :, k] = np.diag(np.asarray(diag, dtype=np.complex128))
+
+
+def add_fault(g, fault):
+    """Put a fault into a ``blocked_stack``; return the margin it raises with.
+
+    "nan" is a NaN margin and "eig" the stack's smallest eigenvalue.
+    """
+    n, last, middle = g.shape[0], g.shape[2] - 1, forms_mod._BLOCK + 17
+    if fault == "nan-last":
+        g[1, 1, last] = np.nan
+        return "nan"
+    if fault == "inf-last":
+        g[0, 1, last] = np.inf
+        return "nan"
+    if fault == "indefinite-middle":
+        set_point(g, middle, [1.0] * (n - 1) + [-1.0])
+        return -1.0
+    if fault == "overflowing-det-middle":
+        set_point(g, middle, [1e200] * n)
+        return "nan"
+    if fault == "subnormal-det-middle":
+        set_point(g, middle, [1e-160] * 2 if n == 2 else [1e-103] * 3)
+        return "eig"
+    if fault == "overflowing-inverse-last":
+        set_point(g, last, [1e100] + [1.0] * (n - 2) + [1e-310])
+        return "eig"
+    # an indefinite point in the first block and an overflowing det in the
+    # last: the whole payload's check reads the overflow first
+    set_point(g, 5, [-1.0] * n)
+    set_point(g, last, [1e200] * n)
+    return "nan"
+
+
+BLOCKED_FAULTS = ["nan-last", "inf-last", "indefinite-middle", "overflowing-det-middle",
+                  "subnormal-det-middle", "overflowing-inverse-last", "indefinite-then-overflow"]
+
+
+@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@pytest.mark.parametrize("fault", BLOCKED_FAULTS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocked_check_raises_as_the_whole_payload(n, fault, herm_tol, monkeypatch):
+    # each fault in a stack of 3 full blocks and a short one raises the
+    # exception and margin the whole-payload check gives on the same g,
+    # without a floating-point warning
+    monkeypatch.setattr(forms_mod, "_BLOCK", 4096)
+    g = blocked_stack(n)
+    kind = add_fault(g, fault)
+    want = whole_payload_margin(g, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityLostError) as info:
+            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+    got = info.value.margin
+    if kind == "nan":
+        assert math.isnan(got) and math.isnan(want)
+    else:
+        assert got == want == _eig_range(g, n)[0]
+        if kind != "eig":
+            assert got == kind
+
+
+@pytest.mark.parametrize("n, scale", [(2, 1e150), (3, 1e100)])
+def test_blocked_check_clears_an_inverse_diagonal_its_bound_cannot(n, scale, monkeypatch):
+    # one point of det scale^n and one of det scale^-n: the block's bound
+    # max|cofactor| / min det overflows, yet every diagonal entry of the
+    # inverse is finite, so the entries themselves are checked and pass
+    monkeypatch.setattr(forms_mod, "_BLOCK", 4096)
+    g = blocked_stack(n, blocks=1, extra=0)
+    set_point(g, 3, [scale] * n)
+    set_point(g, 4, [1.0 / scale] * n)
+    m = HermitianMetric.from_matrix(g)
+    det, ginv = _positive_det_inv(g, n)
+    assert m.det.tobytes() == det.tobytes()
+    assert m.ginv[0, 0, 3] == pytest.approx(1.0 / scale) and m.ginv[0, 0, 4] == pytest.approx(scale)
+    assert m.ginv.tobytes() == ginv.tobytes()
+
+
+# ----------------------------------------------------------------------
 # inner product
 # ----------------------------------------------------------------------
 
@@ -658,7 +808,12 @@ def random_metric_stack(rng, n, payload):
     (3, (), (5,) * 6),          # a form at one point, the metric on a grid
 ], ids=["n3-N6", "n2-N9", "n2-N16", "n2-point", "n3-point", "n2-grid-form-point-metric",
         "n3-point-form-grid-metric"])
-def test_blocked_trace_matches_the_per_row_reference_bitwise(n, form_payload, metric_payload):
+def test_blocked_trace_matches_the_per_row_reference_bitwise(n, form_payload, metric_payload,
+                                                             monkeypatch):
+    # blocks of 4096 points, as the cases above count them; the trace that
+    # builds its inverse per block, from a metric whose inverse is unread,
+    # gives metric_trace's bytes on every layout
+    monkeypatch.setattr(forms_mod, "_BLOCK", 4096)
     rng = np.random.default_rng(101)
     m = random_metric_stack(rng, n, metric_payload)
     for p, q in [(2, 1), (1, 1), (2, 2)]:
@@ -668,6 +823,10 @@ def test_blocked_trace_matches_the_per_row_reference_bitwise(n, form_payload, me
         got = metric_trace(a, m)
         assert got.coeffs.shape == want.coeffs.shape
         assert np.array_equal(got.coeffs, want.coeffs), f"({p},{q})"
+        unread = HermitianMetric(n, m.g, m.det)
+        assert blocked_metric_trace(a, unread).coeffs.tobytes() == got.coeffs.tobytes()
+        if metric_payload == form_payload and metric_payload:
+            assert "ginv" not in vars(unread)
 
 
 def test_star_trace_identity_for_two_one_forms():
