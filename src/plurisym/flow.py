@@ -151,18 +151,39 @@ class FlowState:
 
 
 class Sample(NamedTuple):
-    """The forms of a sampled state and its record's V and F, as run_flow collects them."""
+    """A sampled state's band coefficients and its record's V and F, as run_flow collects them.
+
+    ``omega_hat`` and ``phi_hat`` are the state's own arrays, not copies.
+    The physical forms ``omega`` and ``phi`` are built from them on each
+    read and never kept, so a list of samples holds band coefficients only;
+    read each once per pass.  They are bitwise the state's ``omega`` and
+    ``phi``.
+    """
 
     t: float
-    omega: Form
-    phi: Form
+    omega_hat: np.ndarray
+    phi_hat: np.ndarray
     V: float
     F: float
+    grid: TorusGrid
+
+    @property
+    def omega(self) -> Form:
+        """The physical (1,1)-form, built on this read: i times the metric block."""
+        return Form(self.grid.n, 1, 1, 1j * _hermitian_block(self.grid, self.omega_hat))
+
+    @property
+    def phi(self) -> Form:
+        """The physical (2,0)-form, built on this read by one band transform."""
+        return Form(self.grid.n, 2, 0, self.grid.from_band(self.phi_hat))
 
 
 @dataclass
 class FlowResult:
-    """Diagnostic series of a run, the sampled forms (if collected), and the final state."""
+    """Diagnostic series of a run, the samples (if collected), and the final state.
+
+    Each sample holds band coefficients and builds its physical forms on read.
+    """
 
     records: List[dict]
     states: List[Sample]
@@ -204,7 +225,7 @@ def pluriclosed_rhs(grid: TorusGrid, omega: Form, metric: HermitianMetric) -> Fo
     self-conjugate to the last bit.
     """
     vel = _omega_velocity(grid, metric, grid.del_form(omega).coeffs)
-    return Form(grid.n, 1, 1, 1j * grid.hermitian_from_band(-1j * vel))
+    return Form(grid.n, 1, 1, 1j * _hermitian_block(grid, vel))
 
 
 def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
@@ -217,6 +238,15 @@ def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
 # stepping
 # ----------------------------------------------------------------------
 
+def _hermitian_block(grid: TorusGrid, omega_hat: np.ndarray) -> np.ndarray:
+    """Block g of the real (1,1)-form sqrt(-1) g with band coefficients ``omega_hat``.
+
+    A state's metric block and a sample's omega are built here, so the two
+    are bitwise equal.
+    """
+    return grid.hermitian_from_band(-1j * omega_hat)
+
+
 def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
                 phi_hat: np.ndarray) -> FlowState:
     """State of band coefficients at time t, with the metric of omega built and checked.
@@ -226,7 +256,7 @@ def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
     positivity is always enforced.  The metric's g and det are the only grid
     fields a state keeps; ``_stage_rate`` builds the rest.
     """
-    g = grid.hermitian_from_band(-1j * omega_hat)
+    g = _hermitian_block(grid, omega_hat)
     return FlowState(t, omega_hat, phi_hat, HermitianMetric.from_matrix(g, herm_tol=None), grid)
 
 
@@ -293,7 +323,7 @@ def _initial_state(grid: TorusGrid, epsilon: float, omega_raw: np.ndarray,
     put on the k=0 coefficient.
     """
     n = grid.n
-    amp = float(np.max(np.abs(grid.hermitian_from_band(-1j * omega_raw))))
+    amp = float(np.max(np.abs(_hermitian_block(grid, omega_raw))))
     if phi_raw.size:
         amp = max(amp, float(np.max(np.abs(grid.from_band(phi_raw)))))
     scale = epsilon / amp if amp > 0 else 0.0
@@ -430,13 +460,15 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
     """Integrate the coupled system, sampling diagnostics every few steps.
 
     Samples are taken at the start, every ``sample_every`` steps, and at the
-    end.  A sample whose constraint residual is not within
-    ``constraint_abort`` (a NaN one included) raises
-    ConstraintViolationError; positivity loss during a step raises
-    PositivityLostError unless the evidence points at the integrator (the
-    constraint already broken, or dt above the parabolic guideline), which is
-    reported as a constraint violation instead.  Either exception carries the
-    records collected so far.
+    end.  With ``collect_states`` each one is kept as a ``Sample``: the
+    state's band coefficients, which it holds without a copy, and its
+    record's V and F; its physical forms are built on each read.  A sample
+    whose constraint residual is not within ``constraint_abort`` (a NaN one
+    included) raises ConstraintViolationError; positivity loss during a step
+    raises PositivityLostError unless the evidence points at the integrator
+    (the constraint already broken, or dt above the parabolic guideline),
+    which is reported as a constraint violation instead.  Either exception
+    carries the records collected so far.
     """
     bound = parabolic_dt_bound(grid, state.metric, config.safety)
     if config.dt > bound:
@@ -453,7 +485,7 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
         rec = diagnostics_record(grid, st)
         records.append(rec)
         if config.collect_states:
-            states.append(Sample(st.t, st.omega, st.phi, rec["V"], rec["F"]))
+            states.append(Sample(st.t, st.omega_hat, st.phi_hat, rec["V"], rec["F"], grid))
         if not rec["hs_constraint_residual"] <= config.constraint_abort:
             raise ConstraintViolationError(
                 f"constraint residual {rec['hs_constraint_residual']:.3e} exceeded "

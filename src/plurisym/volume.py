@@ -213,14 +213,18 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
 
     ``states`` are evenly spaced trajectory samples carrying .t, .omega,
     .phi and their record's .V and .F (``flow.Sample``); the V and F series
-    are read from there, not measured again.  The metric of omega is rebuilt
-    only at the interior samples, whose formula sides are evaluated, bit for
-    bit the one the flow certified.  Three identities are checked: dV/dt
-    against Q[1; curvature form], dF/dt against -2 <dbar omega, dbar omega>
-    in the evolving metric, and (in dimension two) the rate of the
-    squared-volume functional P[0,0; 1] against its torsion-pairing plus
-    curvature terms, with the torsion evaluated through the star-composition
-    codifferential so the route is independent of the flow's own.
+    are read from there, not measured again.  A ``flow.Sample`` builds its
+    forms from its band coefficients on each read, so the pass reads each
+    sample's forms once: omega wherever it is used (every sample at n=2,
+    for the squared-volume series), phi at the interior samples only.  The
+    metric of omega is rebuilt only at the interior samples, whose formula
+    sides are evaluated, bit for bit the one the flow certified.  Three
+    identities are checked: dV/dt against Q[1; curvature form], dF/dt
+    against -2 <dbar omega, dbar omega> in the evolving metric, and (in
+    dimension two) the rate of the squared-volume functional P[0,0; 1]
+    against its torsion-pairing plus curvature terms, with the torsion
+    evaluated through the star-composition codifferential so the route is
+    independent of the flow's own.
 
     Differencing uses the interior 5-point stencil.  A sample where the
     5-point and 3-point estimates disagree by more than ``resolution_guard``
@@ -260,24 +264,27 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
     interior = range(2, len(states) - 2)
     rhs_at = {}
     for k, st in enumerate(states):
+        if n != 2 and k not in interior:
+            continue
+        omega = st.omega  # built on each read, so read once
         if n == 2:
-            ps[k] = integrate(grid, form_power(st.omega, 2)).real
+            ps[k] = integrate(grid, form_power(omega, 2)).real
         if k not in interior:
             continue
-        metric = metric_of_form(st.omega)
+        metric = metric_of_form(omega)
         c = chern_form(grid, metric)
-        dbar_om = grid.dbar_form(st.omega)
+        dbar_om = grid.dbar_form(omega)
         rhs = {
             "volume_rate": integrate(
-                grid, wedge(beta_form(st.phi, st.omega, 1), c)).real,
+                grid, wedge(beta_form(st.phi, omega, 1), c)).real,
             "pairing_rate": -2.0 * global_inner_product(
                 grid, dbar_om, dbar_om, metric).real,
         }
         if n == 2:
-            torsion = codifferential_dbar(grid, st.omega, metric)
+            torsion = codifferential_dbar(grid, omega, metric)
             rhs["p_rate"] = (
                 4.0 * integrate(grid, wedge(torsion, dbar_om)).real
-                + 2.0 * integrate(grid, wedge(st.omega, c)).real
+                + 2.0 * integrate(grid, wedge(omega, c)).real
             )
         rhs_at[k] = rhs
 

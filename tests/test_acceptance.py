@@ -153,8 +153,9 @@ def test_criterion_6_beta_pluriclosedness(grid16, standard_run):
     result, _ = standard_run
     worst = {s: 0.0 for s in (0, 1)}
     for st in result.states:
+        omega, phi = st.omega, st.phi  # built on each read
         for s in (0, 1):
-            worst[s] = max(worst[s], check_beta_pluriclosed(grid16, st.omega, st.phi, s))
+            worst[s] = max(worst[s], check_beta_pluriclosed(grid16, omega, phi, s))
     for s, value in worst.items():
         assert value <= 1e-8, f"beta[{s}] residual {value:.3e}"
 

@@ -304,6 +304,41 @@ def test_volume_fails_a_nan_beta_residual_after_the_first_sample(tmp_path, monke
     assert rows["beta[0] pluriclosed residual (max)"][1] == "pass"
 
 
+def test_volume_builds_each_samples_forms_once_per_pass(tmp_path, monkeypatch,
+                                                         count_fields):
+    # band fields through from_band after the flow, cut at the analysis
+    # calls: a sample's forms cost 3 fields at n=2 (omega 2, phi 1).  The
+    # beta rows build every sample's forms once for both rows, the formula
+    # coefficients sample 0's once, and the identity pass omega at every
+    # sample and phi with the curvature form (4 fields) at interior ones
+    cfg = write_config(tmp_path, flow=VOLUME_FLOW)
+    fields = count_fields("from_band")
+    marks = {}
+
+    def marked(name, fn):
+        def wrapper(*args, **kwargs):
+            marks.setdefault(name + " start", len(fields))
+            out = fn(*args, **kwargs)
+            marks[name + " end"] = len(fields)
+            return out
+        return wrapper
+
+    for name in ("run_flow", "check_derivative_identities", "coefficient_a"):
+        monkeypatch.setattr(plurisym.cli, name, marked(name, getattr(plurisym.cli, name)))
+    assert main(["volume", "--config", cfg, "--output", str(tmp_path / "v.csv")]) == 0
+    marks["main end"] = len(fields)
+    samples = VOLUME_FLOW["steps"] // VOLUME_FLOW["sample_every"] + 1
+
+    def between(start, end):
+        return sum(fields[marks[start]:marks[end]])
+
+    assert between("run_flow end", "check_derivative_identities start") == 0
+    assert (between("check_derivative_identities start", "check_derivative_identities end")
+            == 2 * samples + (1 + 4) * (samples - 4))
+    assert between("check_derivative_identities end", "coefficient_a start") == 3
+    assert between("coefficient_a end", "main end") == 3 * samples
+
+
 def test_volume_tight_tolerance_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, flow=VOLUME_FLOW,
                        tolerances={"identity_rel": 1e-16})

@@ -478,6 +478,60 @@ def test_zero_steps_gives_single_sample(grid, hs_state):
     assert out.final is hs_state
 
 
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
+def test_samples_hold_band_coefficients_and_build_the_states_forms_bitwise(n, points):
+    # each sample's forms against those of the same state stepped by hand
+    grid = TorusGrid(n, points)
+    start = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    result = run_flow(grid, start, FlowConfig(dt=1e-4, steps=4, sample_every=2,
+                                              collect_states=True))
+    by_hand = [start]
+    for _ in range(4):
+        by_hand.append(step_rk4(grid, by_hand[-1], 1e-4))
+    assert len(result.states) == 3
+    for sample, st in zip(result.states, by_hand[::2]):
+        assert np.array_equal(sample.omega.coeffs, st.omega.coeffs)
+        assert np.array_equal(sample.phi.coeffs, st.phi.coeffs)
+        assert sample.omega.bidegree == (1, 1) and sample.phi.bidegree == (2, 0)
+        held = [v for v in sample if isinstance(v, np.ndarray)]
+        assert len(held) == 2 and all(a.shape[2:] == grid.band_shape for a in held)
+    # a sample holds its state's arrays, not copies, and keeps no form it builds
+    last = result.states[-1]
+    assert last.omega_hat is result.final.omega_hat and last.phi_hat is result.final.phi_hat
+    assert not hasattr(last, "__dict__") and last.omega is not last.omega
+
+
+def live_bytes(fn):
+    """(fn(), the bytes its result keeps live, by tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_collected_samples_keep_band_sized_memory():
+    # 100 samples of an n=2 N=8 run: the result keeps about their band
+    # coefficients, 5 fields of 5^4 points each, and the final state.  The
+    # same bound fails for the list of the samples' physical forms (5 fields
+    # of 8^4 points each), which samples held before
+    grid = TorusGrid(2, 8)
+    start = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    config = FlowConfig(dt=1e-4, steps=99, sample_every=1, collect_states=True)
+    result, live = live_bytes(lambda: run_flow(grid, start, config))
+    samples = len(result.states)
+    assert samples == 100
+    band_bytes = samples * 5 * 16 * int(np.prod(grid.band_shape))
+    bound = 1.5 * band_bytes
+    assert live < bound
+    physical, physical_live = live_bytes(
+        lambda: [(s.t, s.omega, s.phi, s.V, s.F) for s in result.states])
+    assert len(physical) == samples
+    assert physical_live > bound
+
+
 def test_huge_dt_aborts_as_constraint_violation(grid):
     st = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=1)
     config = FlowConfig(dt=5e-2, steps=2000, sample_every=5)

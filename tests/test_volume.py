@@ -372,6 +372,30 @@ def test_derivative_identities_build_metrics_at_interior_samples_only(
     assert len(metrics) == len(states) - 4
 
 
+def test_derivative_identities_build_each_samples_forms_once(
+        grid2, short_trajectory, count_fields):
+    # band fields per build at n=2: omega 2 (its Hermitian block), phi 1,
+    # and the curvature form of an interior sample 4.  The pass builds omega
+    # at every sample and phi and the curvature form at the interior ones
+    states = short_trajectory.states
+    metric = metric_of_form(states[0].omega)
+    fields = count_fields("from_band")
+    states[0].omega
+    omega_fields = sum(fields)
+    fields.clear()
+    states[0].phi
+    phi_fields = sum(fields)
+    fields.clear()
+    chern_form(grid2, metric)
+    chern_fields = sum(fields)
+    assert (omega_fields, phi_fields, chern_fields) == (2, 1, 4)
+    fields.clear()
+    check_derivative_identities(grid2, states)
+    interior = len(states) - 4
+    assert sum(fields) == (len(states) * omega_fields
+                           + interior * (phi_fields + chern_fields))
+
+
 def test_p_rate_identity_on_short_run(grid2, short_trajectory):
     """d/dt of the squared-volume functional against its torsion + curvature terms."""
     states = short_trajectory.states
