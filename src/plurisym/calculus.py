@@ -244,32 +244,32 @@ class TorusGrid:
                 np.multiply(1j * (self.band_mz[i] * self.band_mzbar[j]), u_hat, out=out[i, j])
         return out
 
-    def hermitian_from_band(self, g_hat: np.ndarray) -> np.ndarray:
-        """Physical (n, n) block of a Hermitian field from its band coefficients.
+    def hermitian_from_band(self, g_hat: np.ndarray):
+        """Hermitian half of a Hermitian field from its band coefficients.
 
-        One transform per independent entry.  The real diagonal goes in pairs
+        Returns ``(diag, upper)``, as ``forms.HermitianMetric`` keeps it: the
+        real diagonal, (n, *grid) float64, and the strict upper triangle,
+        (n(n-1)/2, *grid) complex128 in ``multi_indices(n, 2)`` order.  One
+        transform per independent entry.  The diagonal goes in pairs
         g_ii + sqrt(-1) g_(i+1)(i+1) (the last one alone when n is odd)
-        through one field buffer, read off as real and imaginary parts.  Each
-        upper-triangle entry is transformed straight into its slot of the
-        block, and its conjugate written into the lower slot, so the result
-        is Hermitian to the last bit and the block and one field are all
-        that is allocated of grid size.
+        through one field buffer, read off as real and imaginary parts.
+        Each upper-triangle entry is transformed straight into its slot, so
+        the half and one field are all that is allocated of grid size.
         """
         n = self.n
-        out = np.empty((n, n) + self.shape, dtype=np.complex128)
+        diag = np.empty((n,) + self.shape)
+        upper = np.empty((n * (n - 1) // 2,) + self.shape, dtype=np.complex128)
         pair = np.empty(self.shape, dtype=np.complex128)
         for i in range(0, n, 2):
             if i + 1 < n:
                 self.from_band(g_hat[i, i] + 1j * g_hat[i + 1, i + 1], out=pair)
-                out[i, i] = pair.real
-                out[i + 1, i + 1] = pair.imag
+                diag[i] = pair.real
+                diag[i + 1] = pair.imag
             else:
-                out[i, i] = self.from_band(g_hat[i, i], out=pair).real
-        for i in range(n):
-            for j in range(i + 1, n):
-                self.from_band(g_hat[i, j], out=out[i, j])
-                np.conj(out[i, j], out=out[j, i])
-        return out
+                diag[i] = self.from_band(g_hat[i, i], out=pair).real
+        for k, (i, j) in enumerate(multi_indices(n, 2)):
+            self.from_band(g_hat[i, j], out=upper[k])
+        return diag, upper
 
     def coordinates(self):
         """Broadcastable coordinate arrays, ordered (x^1, y^1, ..., x^n, y^n)."""

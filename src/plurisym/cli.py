@@ -12,8 +12,10 @@ configuration or usage error, 4 invariant or tolerance violation.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
+import platform
 import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence
@@ -369,7 +371,34 @@ def build_parser() -> _Parser:
     return parser
 
 
+# glibc's mallopt parameters, and the largest mmap threshold its dynamic
+# rule reaches (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _reuse_freed_memory() -> None:
+    """Have glibc's malloc keep freed blocks under 32 MiB for reuse.
+
+    Every RK4 stage allocates and frees fields of a few MiB.  glibc's
+    dynamic rule raises its mmap threshold to the largest mapped block freed
+    so far and trims the heap once twice that lies free at its top.  When
+    no freed block is much larger than a stage's fields (at n=2 N=16 none
+    exceeds 2 MiB), the heap is trimmed and grown again at every stage and
+    its pages are faulted in afresh: an n=2 N=16 step took about 5 600 minor
+    page faults and 33 ms, against 260 and 26 ms with both thresholds fixed
+    where the rule ends (mmap at 32 MiB, trim at twice that).  Blocks above
+    32 MiB are still mapped and unmapped.  Other C libraries are left as
+    they are.
+    """
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _reuse_freed_memory()
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2 ** 64:

@@ -16,16 +16,17 @@ metric traces and log det).  Positivity of the metric is checked at each
 stage and aborts the run; nothing is regularized.
 
 A state and an RK4 stage are the same thing, a ``FlowState``: band
-coefficients of omega and phi and the metric of omega, whose block g and
-determinant are the only grid fields it holds.  Its physical forms are
-computed from these on first read (omega from the metric block, phi by one
-band transform), so a stage or an unsampled step never builds them.
-Everything else a stage's rate computes on the grid (del omega, dbar phi,
-the two traces, log det) is built while the rate runs and dropped when it
-returns, del omega before dbar phi is built, so a state carries no work
-fields and the grid holds none either.  No grid-sized inverse metric exists:
-the traces and a record's V and F walk the points in blocks, building each
-block of the inverse from g and det.
+coefficients of omega and phi and the metric of omega, whose Hermitian half
+(the real diagonal and upper triangle of g) and determinant are the only
+grid fields it holds.  Its physical forms are computed from these on first
+read (omega from the metric block, phi by one band transform), so a stage or
+an unsampled step never builds them.  Everything else a stage's rate
+computes on the grid (log det, del omega, dbar phi, the two traces) is built
+while the rate runs and dropped when it returns, del omega before dbar phi
+is built, so a state carries no work fields and the grid holds none either.
+No grid-sized inverse metric or full metric block exists: the traces and a
+record's V and F walk the points in blocks, building each block of the
+inverse from the half and det.
 
 Every state lives on the band: the initial data are built there, and
 ``FlowState.make`` takes physical fields there once, refusing a field with
@@ -38,7 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, NamedTuple
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .forms import (
     Form,
     HermitianMetric,
     _blocks,
+    _hermitian_block,
     blocked_metric_trace,
     inner_product,
     metric_of_form,
@@ -86,11 +88,11 @@ class FlowState:
     """Flow state at one instant, and an RK4 stage: band coefficients and the metric.
 
     ``omega_hat`` and ``phi_hat`` are the band coefficients of omega and phi,
-    and ``metric`` is the metric of omega; its g and det are the only
-    grid-sized arrays a state holds.  The physical forms ``omega`` and
-    ``phi`` are computed from these on first read and kept; treat them as
-    read-only.  Stages of a step are states that nothing reads, so they
-    never build them, and a record builds phi but not omega.
+    and ``metric`` is the metric of omega; its Hermitian half and det are
+    the only grid-sized arrays a state holds.  The physical forms ``omega``
+    and ``phi`` are computed from these on first read and kept; treat them
+    as read-only.  Stages of a step are states that nothing reads, so they
+    never build them, and a record builds neither.
     """
 
     t: float
@@ -170,7 +172,8 @@ class Sample(NamedTuple):
     @property
     def omega(self) -> Form:
         """The physical (1,1)-form, built on this read: i times the metric block."""
-        return Form(self.grid.n, 1, 1, 1j * _hermitian_block(self.grid, self.omega_hat))
+        return Form(self.grid.n, 1, 1,
+                    1j * _hermitian_block(*_metric_half(self.grid, self.omega_hat)))
 
     @property
     def phi(self) -> Form:
@@ -195,18 +198,20 @@ class FlowResult:
 # ----------------------------------------------------------------------
 
 def _omega_velocity(grid: TorusGrid, metric: HermitianMetric,
-                    del_omega: np.ndarray) -> np.ndarray:
-    """Band coefficients of the omega velocity from the physical field del(omega).
+                    del_omega: Callable[[], np.ndarray]) -> np.ndarray:
+    """Band coefficients of the omega velocity; ``del_omega()`` builds the physical del(omega).
 
     C + conj(C) with C = dbar of the metric trace of del(omega) plus half
     the curvature form; that trace is the dbar-codifferential of omega
     (agreement with the star-composition route, codifferential_dbar, is
     pinned in the tests).  Keeping only band coefficients is the dealiasing
-    projector.
+    projector.  log det goes to the band before del(omega) is built, which
+    lives only while it is traced.
     """
-    a = blocked_metric_trace(Form(grid.n, 2, 1, del_omega), metric)  # (1,0)
+    log_det_hat = grid.to_band(np.log(metric.det))
+    a = blocked_metric_trace(Form(grid.n, 2, 1, del_omega()), metric)  # (1,0)
     c_hat = grid.derivative_hat(grid.to_band(a.coeffs), 1, 0, anti=True)
-    c_hat += 0.5 * grid.ddbar_hat(grid.to_band(np.log(metric.det)))
+    c_hat += 0.5 * grid.ddbar_hat(log_det_hat)
     return c_hat + grid.band_conjugate(c_hat, 1, 1)
 
 
@@ -224,8 +229,8 @@ def pluriclosed_rhs(grid: TorusGrid, omega: Form, metric: HermitianMetric) -> Fo
     brought back through the Hermitian block transform, so the result is
     self-conjugate to the last bit.
     """
-    vel = _omega_velocity(grid, metric, grid.del_form(omega).coeffs)
-    return Form(grid.n, 1, 1, 1j * _hermitian_block(grid, vel))
+    vel = _omega_velocity(grid, metric, lambda: grid.del_form(omega).coeffs)
+    return Form(grid.n, 1, 1, 1j * _hermitian_block(*_metric_half(grid, vel)))
 
 
 def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
@@ -238,11 +243,11 @@ def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
 # stepping
 # ----------------------------------------------------------------------
 
-def _hermitian_block(grid: TorusGrid, omega_hat: np.ndarray) -> np.ndarray:
-    """Block g of the real (1,1)-form sqrt(-1) g with band coefficients ``omega_hat``.
+def _metric_half(grid: TorusGrid, omega_hat: np.ndarray):
+    """Hermitian half of g for the real (1,1)-form sqrt(-1) g with band coefficients ``omega_hat``.
 
-    A state's metric block and a sample's omega are built here, so the two
-    are bitwise equal.
+    ``(diag, upper)`` as ``HermitianMetric`` keeps them.  A state's metric
+    and a sample's omega are built here, so the two are bitwise equal.
     """
     return grid.hermitian_from_band(-1j * omega_hat)
 
@@ -251,13 +256,14 @@ def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
                 phi_hat: np.ndarray) -> FlowState:
     """State of band coefficients at time t, with the metric of omega built and checked.
 
-    ``hermitian_from_band`` makes the metric block Hermitian to the last bit,
-    so the metric keeps it with no Hermiticity scan or copy (``herm_tol=None``);
-    positivity is always enforced.  The metric's g and det are the only grid
-    fields a state keeps; ``_stage_rate`` builds the rest.
+    ``hermitian_from_band`` builds the Hermitian half of g, which the metric
+    keeps as it is (``HermitianMetric.from_half``): no full block, no
+    Hermiticity scan and no copy.  Positivity is always enforced.  The
+    metric's half and det are the only grid fields a state keeps;
+    ``_stage_rate`` builds the rest.
     """
-    g = _hermitian_block(grid, omega_hat)
-    return FlowState(t, omega_hat, phi_hat, HermitianMetric.from_matrix(g, herm_tol=None), grid)
+    metric = HermitianMetric.from_half(*_metric_half(grid, omega_hat))
+    return FlowState(t, omega_hat, phi_hat, metric, grid)
 
 
 def _stage_rate(grid: TorusGrid, st: FlowState):
@@ -265,11 +271,12 @@ def _stage_rate(grid: TorusGrid, st: FlowState):
 
     Del omega is built, traced by ``_omega_velocity`` and dropped before
     dbar phi is built, so the two (2,1)-fields never live at once.  Each
-    trace builds the inverse metric block by block from g and det
-    (``blocked_metric_trace``), so no grid-sized inverse is built.
+    trace builds the inverse metric block by block from the metric's half
+    and det (``blocked_metric_trace``), so no grid-sized inverse is built.
     """
     omega_vel = _omega_velocity(
-        grid, st.metric, grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False)))
+        grid, st.metric,
+        lambda: grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False)))
     phi_vel = _phi_velocity(
         grid, st.metric, grid.from_band(grid.derivative_hat(st.phi_hat, 2, 0, anti=True)))
     return omega_vel, phi_vel
@@ -282,7 +289,7 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     (Sylvester's criterion, no eigenvalues); a failure raises
     PositivityLostError and leaves the caller holding the last valid state.
     The last stage is the returned state, and the first stage of the next
-    step.  A stage keeps no grid field but its metric's g and det; the
+    step.  A stage keeps no grid field but its metric's half and det; the
     fields a rate builds are dropped when it returns.
     """
     if not dt > 0:
@@ -323,7 +330,8 @@ def _initial_state(grid: TorusGrid, epsilon: float, omega_raw: np.ndarray,
     put on the k=0 coefficient.
     """
     n = grid.n
-    amp = float(np.max(np.abs(_hermitian_block(grid, omega_raw))))
+    # the lower triangle repeats the upper one's moduli
+    amp = float(np.max([np.max(np.abs(part)) for part in _metric_half(grid, omega_raw)]))
     if phi_raw.size:
         amp = max(amp, float(np.max(np.abs(grid.from_band(phi_raw)))))
     scale = epsilon / amp if amp > 0 else 0.0
@@ -404,22 +412,26 @@ def _volume_and_pairing(grid: TorusGrid, state: FlowState):
     The points are walked in blocks (``forms._blocks``).  Per block, the
     top coefficient of ``beta_form`` on omega = sqrt(-1) g and phi, and the
     pointwise pairing <phi, phi> times det with the block's inverse metric
-    built from g and det, go into one grid-sized array each; the means of
-    those arrays are V and F.  Every point sees the operations of the
-    whole-grid routes, so V and F keep their bits, and no omega form, wedge
-    temporary or inverse metric of grid size is built.
+    built from the half and det, go into one grid-sized array each; the
+    means of those arrays are V and F.  Each block's g is assembled from
+    the metric's half.  phi is built here by one band transform, bitwise the
+    state's ``phi``, and dropped on return.  Every point sees the operations
+    of the whole-grid routes, so V and F keep their bits, and no omega form,
+    full metric block, wedge temporary or inverse metric of grid size is
+    built.
     """
-    n = grid.n
-    g, det, phi = state.metric.g, state.metric.det, state.phi.coeffs
-    points = det.size
-    g, det, phi = (g.reshape(n, n, points), det.reshape(points),
-                   phi.reshape(phi.shape[:2] + (points,)))
+    n, metric = grid.n, state.metric
+    points = metric.det.size
+    diag, upper, det = (metric.diag.reshape(n, points), metric.upper.reshape(-1, points),
+                        metric.det.reshape(points))
+    phi = grid.from_band(state.phi_hat)
+    phi = phi.reshape(phi.shape[:2] + (points,))
     top, pairing = (np.empty(grid.shape, dtype=np.complex128) for _ in range(2))
     for blk in _blocks(points):
-        omega, phi_blk = Form(n, 1, 1, 1j * g[:, :, blk]), Form(n, 2, 0, phi[:, :, blk])
+        block = HermitianMetric(n, diag[:, blk], upper[:, blk], det[blk])  # the state's
+        omega, phi_blk = Form(n, 1, 1, 1j * block.g), Form(n, 2, 0, phi[:, :, blk])
         top.reshape(points)[blk] = beta_form(phi_blk, omega, 0).coeffs[0, 0]
-        metric = HermitianMetric(n, g[:, :, blk], det[blk])  # the state's, on the block
-        pairing.reshape(points)[blk] = inner_product(phi_blk, phi_blk, metric) * det[blk]
+        pairing.reshape(points)[blk] = inner_product(phi_blk, phi_blk, block) * det[blk]
     return (integrate(grid, Form(n, n, n, top[None, None])).real,
             complex(np.mean(pairing)).real)
 
@@ -429,9 +441,9 @@ def diagnostics_record(grid: TorusGrid, state: FlowState) -> dict:
 
     V and F are the sample's only measurement of V and F, which
     ``volume.check_derivative_identities`` reads through ``Sample``.  They
-    come from the state's metric and its phi, which the record builds on its
-    first read, in blocks of points (``_volume_and_pairing``); the record
-    never builds the state's omega.  The four residual columns take the band
+    come from the state's metric and a phi the record builds and drops, in
+    blocks of points (``_volume_and_pairing``); the record builds neither
+    of the state's forms.  The four residual columns take the band
     route: the Parseval norms of ``residual_norms_hat`` on the band
     coefficients of omega, phi and conj(phi) that the state carries, so
     they transform nothing.  They measure the state the integrator carries;

@@ -349,45 +349,44 @@ def _off_diagonal_terms(u01, u02, u12):
     return _moduli(u01, u02, u12), tri
 
 
-def _positive_det(g: np.ndarray, n: int):
-    """Real determinant of an (n,n,*payload) stack, or None unless positive definite.
+def _positive_det(diag: np.ndarray, upper: np.ndarray, n: int):
+    """Real determinant of a Hermitian stack, or None unless positive definite.
 
+    The stack is given by its half (see ``HermitianMetric``): the real
+    diagonal ``diag`` and the strict upper triangle ``upper``.
     Positivity is Sylvester's criterion: every leading principal minor is
     > 0 at every point, and det at least the smallest normal float, so that
     1 / det is finite.  For n=2 the minors are g00 and det; for n=3, g00,
     the 2x2 leading minor and det (``_hermitian3_minors``); beyond that
-    ``np.linalg.det`` of the leading blocks.  They are checked before
-    anything divides by det, so a singular or indefinite block returns None
-    without a floating-point warning.  The closed forms' products may
-    overflow on finite entries; that det is not finite, and ``_positive``
-    raises PositivityLostError (margin nan) instead of warning.  A normal det
-    does not yet bound the inverse: a smallest eigenvalue near the subnormal
-    range overflows it.  So the diagonal of the inverse must be finite, or
-    the result is None; it bounds every other entry, since
-    |ginv_ij|^2 <= ginv_ii ginv_jj for a positive definite inverse.  No
-    off-diagonal entry of the inverse is built, and the diagonal only when
-    a bound does not clear it: rounding is monotone, so every diagonal entry
-    ``c * (1 / det)`` is at most ``max|c| * (1 / min det)`` in magnitude,
-    and a finite bound means a finite diagonal.
-
-    g is Hermitian to the last bit, as every ``HermitianMetric`` block is,
-    so the closed forms read the real determinant off its real diagonal and
-    upper triangle.
+    ``np.linalg.det`` of the leading blocks of the assembled stack.  They
+    are checked before anything divides by det, so a singular or indefinite
+    block returns None without a floating-point warning.  The closed forms'
+    products may overflow on finite entries; that det is not finite, and
+    ``_positive`` raises PositivityLostError (margin nan) instead of
+    warning.  A normal det does not yet bound the inverse: a smallest
+    eigenvalue near the subnormal range overflows it.  So the diagonal of
+    the inverse must be finite, or the result is None; it bounds every
+    other entry, since |ginv_ij|^2 <= ginv_ii ginv_jj for a positive
+    definite inverse.  No off-diagonal entry of the inverse is built, and
+    the diagonal only when a bound does not clear it: rounding is monotone,
+    so every diagonal entry ``c * (1 / det)`` is at most
+    ``max|c| * (1 / min det)`` in magnitude, and a finite bound means a
+    finite diagonal.
     """
     if n == 2:
-        a, d = g[0, 0].real, g[1, 1].real
+        a, d = diag[0], diag[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            det = a * d - _moduli(g[0, 1])[0]
+            det = a * d - _moduli(upper[0])[0]
         minors, cofactors = (a,), (d, a)
     elif n == 3:
-        d0, d1, d2 = g[0, 0].real, g[1, 1].real, g[2, 2].real
+        d0, d1, d2 = diag[0], diag[1], diag[2]
         with np.errstate(over="ignore", invalid="ignore"):
-            norms, tri = _off_diagonal_terms(g[0, 1], g[0, 2], g[1, 2])
+            norms, tri = _off_diagonal_terms(upper[0], upper[1], upper[2])
             lead2, det, c00 = _hermitian3_minors(d0, d1, d2, *norms, tri)
             cofactors = (c00, d0 * d2 - norms[1], lead2)
         minors = (d0, lead2)
     else:
-        stacked = np.moveaxis(g, (0, 1), (-2, -1))
+        stacked = np.moveaxis(_hermitian_block(diag, upper), (0, 1), (-2, -1))
         det = np.linalg.det(stacked)
         minors = [np.linalg.det(stacked[..., :k, :k]) for k in range(1, n)]
     if not _positive(det, *minors):
@@ -401,26 +400,27 @@ def _positive_det(g: np.ndarray, n: int):
     return None
 
 
-def _inverse(g: np.ndarray, det, n: int) -> np.ndarray:
-    """Inverse of a positive definite (n,n,*payload) stack from its determinant.
+def _inverse(diag: np.ndarray, upper: np.ndarray, det, n: int) -> np.ndarray:
+    """Inverse (n, n, *payload) block of a positive definite Hermitian half, from its det.
 
-    The closed forms for n = 2 and 3 read g's real diagonal and upper
-    triangle and ``1 / det``; the lower triangle is the conjugate of the
-    upper one.  Beyond that, ``np.linalg.inv``.  Each product of two complex
-    arrays names its operands in one fixed order, ``np.conj(y) * x``: numpy
-    multiplies a temporary of 256 KiB or more in place, in that order, and
-    complex products are not bitwise commutative, so a fixed order makes a
-    block of points round like the whole payload at any size.
+    The closed forms for n = 2 and 3 read the half's real diagonal and
+    upper triangle and ``1 / det``; the lower triangle of the inverse is the
+    conjugate of its upper one.  Beyond that, ``np.linalg.inv`` of the
+    assembled stack.  Each product of two complex arrays names its operands
+    in one fixed order, ``np.conj(y) * x``: numpy multiplies a temporary of
+    256 KiB or more in place, in that order, and complex products are not
+    bitwise commutative, so a fixed order makes a block of points round like
+    the whole payload at any size.
     """
-    entries = _inverse_entries(g, det, n)
-    ginv = np.empty_like(g)
+    entries = _inverse_entries(diag, upper, det, n)
+    ginv = np.empty((n, n) + diag.shape[1:], dtype=np.complex128)
     for i in range(n):
         for j in range(n):
             ginv[i, j] = entries[i][j]
     return ginv
 
 
-def _inverse_entries(g: np.ndarray, det, n: int):
+def _inverse_entries(diag: np.ndarray, upper: np.ndarray, det, n: int):
     """``_inverse`` as rows of entries, ``[i][j]``; for n = 2 and 3 the diagonal is real.
 
     The kernels that walk blocks of points multiply these entries as they
@@ -428,16 +428,17 @@ def _inverse_entries(g: np.ndarray, det, n: int):
     casts it to, so no packed copy is needed.
     """
     if n > 3:
-        return np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+        stacked = np.moveaxis(_hermitian_block(diag, upper), (0, 1), (-2, -1))
+        return np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
     inv_det = 1.0 / det
     rows = [[None] * n for _ in range(n)]
     if n == 2:
-        rows[0][0], rows[1][1] = g[1, 1].real * inv_det, g[0, 0].real * inv_det
-        rows[0][1] = _negated(g[0, 1]) * inv_det
+        rows[0][0], rows[1][1] = diag[1] * inv_det, diag[0] * inv_det
+        rows[0][1] = _negated(upper[0]) * inv_det
     else:
         # the diagonal's cofactors are those of _positive_det
-        d0, d1, d2 = g[0, 0].real, g[1, 1].real, g[2, 2].real
-        u01, u02, u12 = g[0, 1], g[0, 2], g[1, 2]
+        d0, d1, d2 = diag[0], diag[1], diag[2]
+        u01, u02, u12 = upper[0], upper[1], upper[2]
         n01, n02, n12 = _moduli(u01, u02, u12)
         rows[0][0] = (d1 * d2 - n12) * inv_det
         rows[1][1] = (d0 * d2 - n02) * inv_det
@@ -462,15 +463,15 @@ def _negated(z):
     return -z
 
 
-def _positive_det_inv(g: np.ndarray, n: int):
-    """Determinant and inverse of an (n,n,*payload) stack, or None unless positive definite.
+def _positive_det_inv(diag: np.ndarray, upper: np.ndarray, n: int):
+    """Determinant and inverse of a Hermitian half, or None unless positive definite.
 
     The whole payload at once: ``_positive_det`` and ``_inverse`` over every
-    point.  The reference the blocked routes (``HermitianMetric.from_matrix``,
+    point.  The reference the blocked routes (``HermitianMetric.from_half``,
     ``blocked_metric_trace``) are checked against, bit for bit.
     """
-    det = _positive_det(g, n)
-    return None if det is None else (det, _inverse(g, det, n))
+    det = _positive_det(diag, upper, n)
+    return None if det is None else (det, _inverse(diag, upper, det, n))
 
 
 # relative rounding slack of the certified n=3 eigenvalue range
@@ -489,23 +490,23 @@ def _uncertified(a, norms, tri, scale: float) -> np.ndarray:
     return ~((a[0] > 0.0) & (lead2 > tol2) & (det > tol2 * scale))
 
 
-def _eig_range(g: np.ndarray, n: int):
-    """(global min, global max) eigenvalue of an exactly Hermitian (n,n,*payload) stack.
+def _eig_range(diag: np.ndarray, upper: np.ndarray, n: int):
+    """(global min, global max) eigenvalue of a Hermitian half over its payload.
 
     n=2 is the closed form.  Beyond that the result is bitwise the min and
-    max of ``np.linalg.eigvalsh`` over g; a non-finite n=3 stack gives
-    (nan, nan).
+    max of ``np.linalg.eigvalsh`` over the assembled stack; a non-finite
+    n=3 stack gives (nan, nan).
 
-    For n=3 eigvalsh runs only where an extreme can lie.  With u the
-    smallest diagonal entry of the stack and L its largest, the global
-    minimum is <= u and the global maximum >= L (a diagonal entry is a
-    Rayleigh quotient).  A point leaves the minimum's candidates when
-    Sylvester's criterion certifies ``g - (u + delta) I`` positive
-    definite there, and the maximum's when it certifies
-    ``(L - delta) I - g``; the minors read g's real diagonal and upper
-    triangle.  eigvalsh then runs once on the points left in either set; it
-    treats each matrix of a stack on its own, so the min and max are the
-    full-stack call's.
+    For n=3 eigvalsh runs only where an extreme can lie, on the blocks
+    assembled at those points.  With u the smallest diagonal entry of the
+    stack and L its largest, the global minimum is <= u and the global
+    maximum >= L (a diagonal entry is a Rayleigh quotient).  A point leaves
+    the minimum's candidates when Sylvester's criterion certifies
+    ``g - (u + delta) I`` positive definite there, and the maximum's when it
+    certifies ``(L - delta) I - g``; the minors read the real diagonal and
+    upper triangle.  eigvalsh then runs once on the points left in either
+    set; it treats each matrix of a stack on its own, so the min and max
+    are the full-stack call's.
 
     Rounding: ``delta = 2^-40 max|g|`` (8192 unit roundoffs), and a
     minor of order k >= 2 counts as positive only above ``2^-40 R^k``, R
@@ -520,15 +521,15 @@ def _eig_range(g: np.ndarray, n: int):
     this.
     """
     if n == 2:
-        off = g[0, 1]
-        mid = 0.5 * (g[0, 0].real + g[1, 1].real)
-        rad = np.sqrt((0.5 * (g[0, 0].real - g[1, 1].real)) ** 2
+        off = upper[0]
+        mid = 0.5 * (diag[0] + diag[1])
+        rad = np.sqrt((0.5 * (diag[0] - diag[1])) ** 2
                       + off.real ** 2 + off.imag ** 2)
         return float(np.min(mid - rad)), float(np.max(mid + rad))
     if n == 3:
-        g = g.reshape(3, 3, -1)
-        d = [g[i, i].real for i in range(3)]
-        norms, tri = _off_diagonal_terms(g[0, 1], g[0, 2], g[1, 2])
+        diag, upper = diag.reshape(3, -1), upper.reshape(3, -1)
+        d = [diag[i] for i in range(3)]
+        norms, tri = _off_diagonal_terms(upper[0], upper[1], upper[2])
         # np.min and np.max keep a NaN, which Python's min and max can drop
         low = float(np.min([np.min(di) for di in d]))
         high = float(np.max([np.max(di) for di in d]))
@@ -538,11 +539,16 @@ def _eig_range(g: np.ndarray, n: int):
         delta = _CERT_SLACK * max(abs(low), abs(high), off)
         scale = max(high - low + delta, off)
         below, above = low + delta, high - delta
-        keep = (_uncertified([di - below for di in d], norms, tri, scale)
-                | _uncertified([above - di for di in d], norms, -tri, scale))
-        g = g[:, :, np.flatnonzero(keep)]
-    vals = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
+        keep = np.flatnonzero(_uncertified([di - below for di in d], norms, tri, scale)
+                              | _uncertified([above - di for di in d], norms, -tri, scale))
+        diag, upper = diag[:, keep], upper[:, keep]
+    vals = np.linalg.eigvalsh(np.moveaxis(_hermitian_block(diag, upper), (0, 1), (-2, -1)))
     return float(np.min(vals)), float(np.max(vals))
+
+
+# relative Hermiticity defect (``_hermiticity_defect``) that from_matrix
+# takes for roundoff
+_HERM_TOL = 1e-8
 
 
 def _hermiticity_defect(g: np.ndarray) -> float:
@@ -562,37 +568,86 @@ def _positivity_lost(margin: float) -> PositivityLostError:
     )
 
 
+def _hermitian_block(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The full (n, n, *payload) block of a Hermitian half, lower = conj(upper)."""
+    n = len(diag)
+    g = np.empty((n, n) + diag.shape[1:], dtype=np.complex128)
+    for i in range(n):
+        g[i, i] = diag[i]
+    for k, (i, j) in enumerate(multi_indices(n, 2)):
+        g[i, j] = upper[k]
+        g[j, i] = np.conj(upper[k])
+    return g
+
+
+def _hermitian_half(g: np.ndarray):
+    """(real diagonal, strict upper triangle) of an (n, n, *payload) block, as copies."""
+    n = g.shape[0]
+    diag = np.empty((n,) + g.shape[2:])
+    upper = np.empty((n * (n - 1) // 2,) + g.shape[2:], dtype=np.complex128)
+    for i in range(n):
+        diag[i] = g[i, i].real
+    for k, (i, j) in enumerate(multi_indices(n, 2)):
+        upper[k] = g[i, j]
+    return diag, upper
+
+
+def _require_finite(*arrays):
+    """Raise PositivityLostError with margin nan unless every entry is finite.
+
+    A non-finite entry makes an array's sum non-finite; only a sum that
+    overflowed on finite entries needs the scan of every entry.
+    """
+    for a in arrays:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = a.sum()
+        if not (np.isfinite(total) or np.isfinite(a).all()):
+            raise _positivity_lost(math.nan)
+
+
 @dataclass(eq=False, repr=False)
 class HermitianMetric:
-    """Validated positive Hermitian metric: the block g and its determinant.
+    """Validated positive Hermitian metric: the Hermitian half of g and its determinant.
 
-    g and det are the only payload-sized arrays a metric keeps.  g is
-    Hermitian to the last bit (see ``from_matrix``).  The inverse ``ginv``
-    and the eigenvalue range (``margin``, ``max_eig``) are not needed to
-    validate the metric; each is computed on first read and cached.  The
-    flow's kernels never read ``ginv``: they build its blocks from g and det
-    as they walk the points (``blocked_metric_trace``).  At n=3 the
-    eigenvalue range runs eigvalsh only at the points the certified range of
-    ``_eig_range`` leaves, a few hundred of an N=8 grid's 262 144.
+    A metric keeps g as its half, the only copy of it: the real diagonal
+    ``diag``, (n, *payload) float64, and the strict upper triangle
+    ``upper``, (n(n-1)/2, *payload) complex128 in ``multi_indices(n, 2)``
+    order; the lower triangle is the conjugate of the upper one.  With
+    ``det`` these are the only payload-sized arrays a metric keeps, about
+    half of the full complex block.  ``g`` builds the full block on each
+    read and does not keep it.  The inverse ``ginv`` and the eigenvalue
+    range (``margin``, ``max_eig``) are not needed to validate the metric;
+    each is computed on first read and cached.  The flow builds neither on
+    its grid: its kernels build the blocks of g and of the inverse from the
+    half and det as they walk the points (``blocked_metric_trace``,
+    ``flow._volume_and_pairing``).  At n=3 the eigenvalue range runs
+    eigvalsh only at the points the certified range of ``_eig_range``
+    leaves, a few hundred of an N=8 grid's 262 144.
     """
 
     n: int
-    g: np.ndarray       # (n, n, *payload)
+    diag: np.ndarray    # real, (n, *payload)
+    upper: np.ndarray   # complex, (n(n-1)/2, *payload)
     det: np.ndarray     # real, payload-shaped
 
     @property
     def payload(self) -> Tuple[int, ...]:
-        return self.g.shape[2:]
+        return self.diag.shape[1:]
+
+    @property
+    def g(self) -> np.ndarray:
+        """The full block g_{i jbar}, (n, n, *payload), built on this read."""
+        return _hermitian_block(self.diag, self.upper)
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        """The inverse block, from g and det by the closed forms of ``_inverse``."""
-        return _inverse(self.g, self.det, self.n)
+        """The inverse block, from the half and det by the closed forms of ``_inverse``."""
+        return _inverse(self.diag, self.upper, self.det, self.n)
 
     @cached_property
     def eig_range(self) -> Tuple[float, float]:
         """(smallest, largest) eigenvalue over all points."""
-        return _eig_range(self.g, self.n)
+        return _eig_range(self.diag, self.upper, self.n)
 
     @property
     def margin(self) -> float:
@@ -605,67 +660,71 @@ class HermitianMetric:
         return self.eig_range[1]
 
     @classmethod
-    def from_matrix(cls, g: np.ndarray,
-                    herm_tol: Optional[float] = 1e-8) -> "HermitianMetric":
+    def from_matrix(cls, g: np.ndarray) -> "HermitianMetric":
         """Build from the coefficient block g_{i jbar}.
 
-        A g within ``herm_tol`` of Hermitian is stored as its Hermitian block:
-        its real diagonal and upper triangle, lower = conj(upper).
-        ``herm_tol=None`` skips the scan and that copy; only for callers that
-        guarantee g == g^H to the last bit by construction, e.g. flow stages.
-        Raises PositivityLostError, carrying the smallest eigenvalue as its
-        margin, when g is not positive definite at every point by Sylvester's
-        criterion, its determinant is subnormal somewhere or its inverse
-        overflows (a smallest eigenvalue near the subnormal range), and with
-        margin nan when g holds a non-finite entry or its determinant
-        overflows.
-
-        After one finiteness scan of the whole of g, ``_blocked_det`` checks
-        the points in blocks of ``_BLOCK``, writing det into one
-        payload-sized array; no block of the inverse is kept.  Every block is
-        checked, so a determinant that overflows anywhere raises with margin
-        nan, as the whole-payload check does; otherwise a failed block
-        raises with the eigenvalue margin once the walk ends.
+        A g within ``_HERM_TOL`` of Hermitian is kept as its half: its real
+        diagonal and upper triangle; its lower triangle and the imaginary
+        part of its diagonal are dropped.  Raises ValueError beyond that
+        tolerance, and PositivityLostError, with margin nan, when g holds a
+        non-finite entry (the lower triangle included); otherwise as
+        ``from_half``.
         """
         g = np.asarray(g, dtype=np.complex128)
         n = g.shape[0]
         if g.shape[:2] != (n, n):
             raise ValueError(f"metric block must be square, got {g.shape[:2]}")
-        # a non-finite entry makes the sum non-finite; only a sum that
-        # overflowed on finite entries needs the scan of every entry
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = g.sum()
-        if not (np.isfinite(total) or np.isfinite(g).all()):
-            raise _positivity_lost(math.nan)
-        if herm_tol is not None:
-            defect = _hermiticity_defect(g)
-            if defect > herm_tol:
-                raise ValueError(f"metric is not Hermitian: defect {defect:.3e} > {herm_tol:.1e}")
-            g, raw = np.empty_like(g), g
-            for i in range(n):
-                g[i, i] = raw[i, i].real
-            for i, j in zip(*np.triu_indices(n, 1)):
-                g[i, j], g[j, i] = raw[i, j], np.conj(raw[i, j])
-        det = _blocked_det(g, n)
+        _require_finite(g)
+        defect = _hermiticity_defect(g)
+        if defect > _HERM_TOL:
+            raise ValueError(f"metric is not Hermitian: defect {defect:.3e} > {_HERM_TOL:.1e}")
+        return cls.from_half(*_hermitian_half(g))
+
+    @classmethod
+    def from_half(cls, diag: np.ndarray, upper: np.ndarray) -> "HermitianMetric":
+        """Build from a Hermitian half, which the metric keeps as it is.
+
+        ``diag`` is the real diagonal, (n, *payload) float64, and ``upper``
+        the strict upper triangle, (n(n-1)/2, *payload) complex128 in
+        ``multi_indices(n, 2)`` order.  Raises PositivityLostError, carrying
+        the smallest eigenvalue as its margin, when the metric is not
+        positive definite at every point by Sylvester's criterion, its
+        determinant is subnormal somewhere or its inverse overflows (a
+        smallest eigenvalue near the subnormal range), and with margin nan
+        when an entry is not finite or the determinant overflows.
+
+        After one finiteness scan of the half, ``_blocked_det`` checks the
+        points in blocks of ``_BLOCK``, writing det into one payload-sized
+        array; no block of the inverse is kept.  Every block is checked, so
+        a determinant that overflows anywhere raises with margin nan, as the
+        whole-payload check does; otherwise a failed block raises with the
+        eigenvalue margin once the walk ends.
+        """
+        n = len(diag)
+        if upper.shape != (n * (n - 1) // 2,) + diag.shape[1:]:
+            raise ValueError(f"upper triangle {upper.shape} does not match the "
+                             f"diagonal {diag.shape}")
+        _require_finite(diag, upper)
+        det = _blocked_det(diag, upper, n)
         if det is None:
-            raise _positivity_lost(_eig_range(g, n)[0])
-        return cls(n, g, det)
+            raise _positivity_lost(_eig_range(diag, upper, n)[0])
+        return cls(n, diag, upper, det)
 
 
-def _blocked_det(g: np.ndarray, n: int):
-    """``_positive_det`` of g, block by block: the payload-shaped det, or None.
+def _blocked_det(diag: np.ndarray, upper: np.ndarray, n: int):
+    """``_positive_det`` of a half, block by block: the payload-shaped det, or None.
 
     A single point (payload ``()``) is checked as it is: numpy's complex
     scalar product rounds differently from its array loops.
     """
-    if g.ndim == 2:
-        return _positive_det(g, n)
-    flat = g.reshape(n, n, -1)
-    det = np.empty(g.shape[2:])
+    if diag.ndim == 1:
+        return _positive_det(diag, upper, n)
+    flat_diag, flat_upper = diag.reshape(n, -1), upper.reshape(len(upper), -1)
+    det = np.empty(diag.shape[1:])
     flat_det = det.reshape(-1)
     positive = True
     for blk in _blocks(flat_det.size):
-        block_det = _positive_det(flat[:, :, blk], n)
+        block_det = _positive_det(flat_diag[:, blk], flat_upper[:, blk], n)
         if block_det is None:
             positive = False
         else:
@@ -675,9 +734,9 @@ def _blocked_det(g: np.ndarray, n: int):
 
 def flat_metric(n: int, payload: Tuple[int, ...] = ()) -> HermitianMetric:
     """The identity metric, optionally broadcast over a payload."""
-    eye = np.eye(n, dtype=np.complex128).reshape((n, n) + (1,) * len(payload))
-    g = np.broadcast_to(eye, (n, n) + tuple(payload)).copy()
-    return HermitianMetric.from_matrix(g, herm_tol=None)
+    payload = tuple(payload)
+    return HermitianMetric.from_half(np.ones((n,) + payload),
+                                     np.zeros((n * (n - 1) // 2,) + payload, dtype=np.complex128))
 
 
 def fundamental_form(metric: HermitianMetric) -> Form:
@@ -803,7 +862,9 @@ def hodge_star(a: Form, metric: Optional[HermitianMetric] = None) -> Form:
             for Jp in test_anti:
                 adet = _minor_det(ginv, J, Jp)  # <dzbar^J, dzbar^Jp>
                 c = a.coeffs[hol_lookup[Jp], anti_lookup[Ip]]
-                term = c * (hdet * adet)
+                # the temporary first: numpy multiplies a temporary of 256 KiB
+                # or more in place, in that order (see ``_inverse``)
+                term = (hdet * adet) * c
                 acc = term if acc is None else acc + term
         val = (w * dvc) * acc
         out.coeffs[oi, oj] = val
@@ -880,8 +941,8 @@ def metric_trace(a: Form, metric: HermitianMetric) -> Form:
 def blocked_metric_trace(a: Form, metric: HermitianMetric) -> Form:
     """``metric_trace`` without the metric's inverse, bit for bit.
 
-    Each block of points builds its block of the inverse from g and the
-    metric's det by the closed forms of ``_inverse_entries`` and traces it,
+    Each block of points builds its block of the inverse from the metric's
+    half and det by the closed forms of ``_inverse_entries`` and traces it,
     so nothing of the inverse outlives its block and the metric's ``ginv``
     is never read.  A metric that is not on the full payload, a single
     point or one broadcast over the form's points, is traced by
@@ -890,8 +951,10 @@ def blocked_metric_trace(a: Form, metric: HermitianMetric) -> Form:
     payload = np.broadcast_shapes(a.payload, metric.payload)
     if not payload or metric.payload != payload:
         return metric_trace(a, metric)
-    g, det = metric.g.reshape(a.n, a.n, -1), np.reshape(metric.det, -1)
-    return _trace_blocks(a, payload, lambda blk: _inverse_entries(g[:, :, blk], det[blk], a.n))
+    diag, upper = metric.diag.reshape(a.n, -1), metric.upper.reshape(len(metric.upper), -1)
+    det = np.reshape(metric.det, -1)
+    return _trace_blocks(
+        a, payload, lambda blk: _inverse_entries(diag[:, blk], upper[:, blk], det[blk], a.n))
 
 
 def _trace_blocks(a: Form, payload: Tuple[int, ...], inverse_of) -> Form:

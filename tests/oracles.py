@@ -233,6 +233,98 @@ def oracle_ddbar_band(grid) -> np.ndarray:
     return table
 
 
+# ----------------------------------------------------------------------
+# full-block metrics
+# ----------------------------------------------------------------------
+# Metrics kept the full (n, n, *payload) block g before they kept only its
+# Hermitian half.  These are the full-block routes of that time: the block
+# built from band coefficients, and det, the inverse and the eigenvalue range
+# read off the block.  The half's kernels must give their bits.
+
+def oracle_hermitian_from_band(grid, g_hat: np.ndarray) -> np.ndarray:
+    """Full (n, n) block of a Hermitian field from its band coefficients, lower = conj(upper)."""
+    n = grid.n
+    out = np.empty((n, n) + grid.shape, dtype=np.complex128)
+    pair = np.empty(grid.shape, dtype=np.complex128)
+    for i in range(0, n, 2):
+        if i + 1 < n:
+            grid.from_band(g_hat[i, i] + 1j * g_hat[i + 1, i + 1], out=pair)
+            out[i, i] = pair.real
+            out[i + 1, i + 1] = pair.imag
+        else:
+            out[i, i] = grid.from_band(g_hat[i, i], out=pair).real
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid.from_band(g_hat[i, j], out=out[i, j])
+            np.conj(out[i, j], out=out[j, i])
+    return out
+
+
+def oracle_hermitian_block(raw: np.ndarray) -> np.ndarray:
+    """The block a metric kept of a near-Hermitian raw: real diagonal, upper, conj(upper)."""
+    g = np.empty_like(raw)
+    for i in range(raw.shape[0]):
+        g[i, i] = raw[i, i].real
+    for i, j in combinations(range(raw.shape[0]), 2):
+        g[i, j], g[j, i] = raw[i, j], np.conj(raw[i, j])
+    return g
+
+
+def _modulus_sq(u):
+    return u.real * u.real + u.imag * u.imag
+
+
+class FullBlockMetric:
+    """A positive metric that keeps its full block g, read as ``HermitianMetric`` is read.
+
+    det, ginv and eig_range are computed from g on construction: the closed
+    forms for n = 2 and 3, reading g's real diagonal and upper triangle in
+    the package's operation order, and ``np.linalg`` beyond; the n >= 3
+    eigenvalue range is eigvalsh over the whole block.  ``metric_trace``,
+    ``inner_product`` and ``global_inner_product`` accept it.
+    """
+
+    def __init__(self, g: np.ndarray):
+        n = self.n = g.shape[0]
+        self.g, self.payload = g, g.shape[2:]
+        stacked = np.moveaxis(g, (0, 1), (-2, -1))
+        d = [g[i, i].real for i in range(n)]
+        if n == 2:
+            u01 = g[0, 1]
+            self.det = d[0] * d[1] - _modulus_sq(u01)
+            inv_det = 1.0 / self.det
+            rows = [[d[1] * inv_det, (-u01) * inv_det], [None, d[0] * inv_det]]
+        elif n == 3:
+            u01, u02, u12 = g[0, 1], g[0, 2], g[1, 2]
+            n01, n02, n12 = _modulus_sq(u01), _modulus_sq(u02), _modulus_sq(u12)
+            prod = u01 * u12
+            tri = prod.real * u02.real + prod.imag * u02.imag
+            self.det = d[0] * (d[1] * d[2] - n12) - d[1] * n02 - d[2] * n01 + 2.0 * tri
+            inv_det = 1.0 / self.det
+            rows = [[(d[1] * d[2] - n12) * inv_det,
+                     (np.conj(u12) * u02 - u01 * d[2]) * inv_det,
+                     (u01 * u12 - u02 * d[1]) * inv_det],
+                    [None, (d[0] * d[2] - n02) * inv_det,
+                     (np.conj(u01) * u02 - d[0] * u12) * inv_det],
+                    [None, None, (d[0] * d[1] - n01) * inv_det]]
+        else:
+            self.det = np.linalg.det(stacked).real
+            self.ginv = np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
+        if n <= 3:
+            self.ginv = np.empty_like(g)
+            for i in range(n):
+                for j in range(i, n):
+                    self.ginv[i, j] = rows[i][j]
+                    self.ginv[j, i] = np.conj(rows[i][j])
+        if n == 2:
+            mid = 0.5 * (d[0] + d[1])
+            rad = np.sqrt((0.5 * (d[0] - d[1])) ** 2 + u01.real ** 2 + u01.imag ** 2)
+            self.eig_range = float(np.min(mid - rad)), float(np.max(mid + rad))
+        else:
+            vals = np.linalg.eigvalsh(stacked)
+            self.eig_range = float(np.min(vals)), float(np.max(vals))
+
+
 def random_point_form(rng, n, p, q, scale=1.0) -> Form:
     shape = (math.comb(n, p), math.comb(n, q))
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -357,9 +357,9 @@ def test_flat_metric_from_the_band_is_exact():
     omega_hat = np.zeros((2, 2) + grid.band_shape, dtype=np.complex128)
     for i in range(2):
         omega_hat[(i, i) + (0,) * 4] = 1j * grid.points ** 4
-    g = grid.hermitian_from_band(-1j * omega_hat)
-    assert np.array_equal(g, np.broadcast_to(np.eye(2)[:, :, None, None, None, None],
-                                             g.shape))
+    diag, upper = grid.hermitian_from_band(-1j * omega_hat)
+    assert diag.dtype == np.float64 and np.array_equal(diag, np.ones((2,) + grid.shape))
+    assert upper.dtype == np.complex128 and np.array_equal(upper, np.zeros((1,) + grid.shape))
     const = np.zeros(grid.band_shape, dtype=np.complex128)
     const[(0,) * 4] = (0.75 - 2.5j) * grid.points ** 4
     assert np.array_equal(grid.from_band(const), np.full(grid.shape, 0.75 - 2.5j))
@@ -529,7 +529,7 @@ def test_chern_form_refuses_a_nan_determinant():
     det = flat.det.copy()
     det[1, 2, 3, 4] = np.nan
     with pytest.raises(ValueError, match="not positive"):
-        chern_form(grid, HermitianMetric(2, flat.g, det))
+        chern_form(grid, HermitianMetric(2, flat.diag, flat.upper, det))
 
 
 # ----------------------------------------------------------------------

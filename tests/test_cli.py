@@ -4,6 +4,7 @@ import functools
 import importlib.metadata
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -92,6 +93,23 @@ def run_python(args, **env_overrides):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_freed_blocks_are_reused_not_faulted_in_again():
+    # the thresholds the CLI sets keep a freed 8 MiB block on the heap, so
+    # filling a second one faults no page in; with glibc's dynamic rule the
+    # second fill faults about 480
+    script = ("import resource, numpy as np; from plurisym.cli import _reuse_freed_memory\n"
+              "_reuse_freed_memory()\n"
+              "def fill():\n"
+              "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "    np.ones(1 << 20)\n"
+              "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+              "print(fill(), fill())")
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[1]) <= 16
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -205,6 +223,25 @@ def test_flow_json_series_is_valid(tmp_path, capsys):
     assert payload["columns"] == list(CSV_COLUMNS)
     assert len(payload["rows"]) == 5
     assert payload["rows"][0][0] == 0.0
+
+
+@pytest.mark.slow
+def test_one_step_n3_grid12_flow_peaks_under_2gb(tmp_path):
+    # a complex field of the n=3 N=12 grid takes 45 MiB.  The command's peak
+    # RSS, read by the child itself, is 1 685 MiB while metrics keep the
+    # Hermitian half of g; it was 2 262 MiB while they kept the full block
+    # (3 781 MiB while they kept the inverse too).  The bound is 2e9 bytes
+    path = tmp_path / "n3-grid12.json"
+    path.write_text(json.dumps({"dimension": 3, "grid": 12,
+                                "flow": {"steps": 1, "sample_every": 1}}), encoding="utf-8")
+    script = ("import resource, sys; from plurisym.cli import main; code = main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+              "sys.exit(code)")
+    proc = run_python(["-c", script, "flow", "--config", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(FROZEN_HEADER) and len(proc.stdout.splitlines()) == 3
+    peak_kib = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB on Linux
+    assert peak_kib * 1024 < 2e9
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,12 @@ from plurisym.flow import (
 from plurisym.forms import Form, conjugate, flat_metric, fundamental_form, metric_of_form
 from plurisym.volume import volume_V
 
-from oracles import oracle_band_conjugate, oracle_ddbar_band
+from oracles import (
+    FullBlockMetric,
+    oracle_band_conjugate,
+    oracle_ddbar_band,
+    oracle_hermitian_from_band,
+)
 
 
 @pytest.fixture(scope="module")
@@ -167,13 +172,14 @@ def test_make_projects_its_forms_and_holds_one_metric(grid, hs_state, made, monk
     given = flat_state(grid) if made == "flat" else hs_state
     omega, phi = given.omega, given.phi
     metrics = []
-    real = forms_mod.HermitianMetric.from_matrix
+    real = forms_mod.HermitianMetric.from_half
 
-    def build(cls, g, herm_tol=1e-8):
-        metrics.append(real(g, herm_tol))
+    def build(cls, diag, upper):
+        metrics.append(real(diag, upper))
         return metrics[-1]
 
-    monkeypatch.setattr(forms_mod.HermitianMetric, "from_matrix", classmethod(build))
+    # from_matrix, which metric_of_form calls, builds from the half as well
+    monkeypatch.setattr(forms_mod.HermitianMetric, "from_half", classmethod(build))
     st = FlowState.make(grid, 0.0, omega, phi)
     # metric_of_form validates the given omega, then the band stage builds its own
     assert len(metrics) == 2 and st.metric is metrics[-1]
@@ -320,28 +326,30 @@ def peak_fields_above_live(grid, fn):
 
 def test_step_peak_memory_above_the_live_state():
     # tracemalloc peak of one n=3 N=6 step over what was live before it, in
-    # full-grid complex scalar fields.  Stages that keep g and det only, and
-    # traces that build the inverse block by block, measure 46.4; stages
-    # that kept the inverse measured 58.6, and stages holding del omega and
-    # dbar phi at once 68
+    # full-grid complex scalar fields.  Stages that keep the Hermitian half
+    # of g and det, and take log det to the band before del omega is built,
+    # measure 42.4; stages that kept the full block g measured 46.9, stages
+    # that kept the inverse 58.6, and stages holding del omega and dbar phi
+    # at once 68
     grid = TorusGrid(3, 6)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     out, peak = peak_fields_above_live(grid, lambda: step_rk4(grid, st, 1e-4))
     assert out.t > 0.0
-    assert peak < 48.5
+    assert peak < 44.5
 
 
 def test_record_peak_memory_above_the_live_state():
     # a record of an n=3 N=6 state walks V and F over blocks of points: it
-    # builds phi (3 fields, kept on the state), two grid-sized point arrays
-    # and block temporaries, and measures 16.6 fields; with the state's
-    # omega, full-grid wedge powers and the inverse it measured 27
+    # builds phi (3 fields, dropped on return), two grid-sized point arrays
+    # and block temporaries, and measures 14.0 fields; with the full block
+    # g kept on the metric it measured 16.6, and with the state's omega,
+    # full-grid wedge powers and the inverse 27
     grid = TorusGrid(3, 6)
     st = step_rk4(grid, make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1), 1e-4)
     rec, peak = peak_fields_above_live(grid, lambda: diagnostics_record(grid, st))
     assert rec["V"] > 0.0
-    assert "omega" not in vars(st) and "ginv" not in vars(st.metric)
-    assert peak < 18.0
+    assert "omega" not in vars(st) and "phi" not in vars(st) and "ginv" not in vars(st.metric)
+    assert peak < 15.4
 
 
 @pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
@@ -366,9 +374,11 @@ def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
     for stage in [st] + stages:
         assert list(vars(stage)) == ["t", "omega_hat", "phi_hat", "metric", "grid"]
         assert stage.omega_hat.shape[2:] == stage.phi_hat.shape[2:] == grid.band_shape
-        # of grid size, a stage holds its metric's g and det, and no inverse
-        assert list(vars(stage.metric)) == ["n", "g", "det"]
-        assert stage.metric.g.shape[2:] == stage.metric.det.shape == grid.shape
+        # of grid size, a stage holds its metric's half and det, and no
+        # full block or inverse
+        assert list(vars(stage.metric)) == ["n", "diag", "upper", "det"]
+        assert (stage.metric.diag.shape[1:] == stage.metric.upper.shape[1:]
+                == stage.metric.det.shape == grid.shape)
 
 
 @pytest.mark.parametrize("n, points, cutoff", [(2, 8, 2), (2, 16, 2), (3, 4, 1), (3, 6, 2)])
@@ -409,12 +419,56 @@ def test_record_v_and_f_match_the_whole_grid_routes_bitwise(n, points, block, mo
     assert rec["F"] == global_inner_product(grid, st.phi, st.phi, st.metric).real
 
 
+@pytest.mark.parametrize("n, points", [(2, 17), (3, 6), (3, 4)])
+def test_stage_half_matches_the_full_block_bitwise(n, points):
+    # a stepped state's metric, its record's V and F, and the state's omega
+    # against the full block the stages built before metrics kept halves;
+    # 83 521 and 46 656 points cross _BLOCK
+    grid = TorusGrid(n, points)
+    st = step_rk4(grid, make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1), 1e-4)
+    ref = FullBlockMetric(oracle_hermitian_from_band(grid, -1j * st.omega_hat))
+    assert np.array_equal(st.metric.g, ref.g)
+    assert np.array_equal(st.metric.det, ref.det)
+    assert np.array_equal(st.metric.ginv, ref.ginv)
+    assert (st.metric.margin, st.metric.max_eig) == ref.eig_range
+    V, F = flow_mod._volume_and_pairing(grid, st)
+    assert V == volume_V(grid, Form(n, 1, 1, 1j * ref.g), st.phi)
+    assert F == global_inner_product(grid, st.phi, st.phi, ref).real
+    assert np.array_equal(st.omega.coeffs, 1j * ref.g)
+
+
+def live_bytes(fn):
+    """(fn(), the bytes its result keeps live, by tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 6)])
+def test_stage_metric_keeps_its_hermitian_half_and_det(n, points):
+    # a stage metric keeps n/2 + n(n-1)/2 complex grid fields of its half
+    # (2 at n=2, 4.5 at n=3, against n^2 for the full block) and half a
+    # field of det, and next to nothing else
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    metric, live = live_bytes(
+        lambda: flow_mod._band_stage(grid, 0.0, st.omega_hat, st.phi_hat).metric)
+    assert list(vars(metric)) == ["n", "diag", "upper", "det"]
+    field = 16 * points ** (2 * n)
+    want = (n / 2 + n * (n - 1) / 2 + 0.5) * field
+    assert want <= live < want + 4096
+
+
 @pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
 def test_physical_forms_are_built_on_first_read_only(n, points):
-    # of two steps only the second is recorded: the first state never builds
-    # omega or phi, and the record builds the second's phi once and never
-    # its omega (V and F read the metric block); both are the expressions
-    # the stepper built for every state before, bit for bit
+    # of two steps only the second is recorded: neither state builds omega
+    # or phi until they are read (V and F read the metric's half and a phi
+    # of their own); both are the expressions the stepper built for every
+    # state before, bit for bit
     grid = TorusGrid(n, points)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     assert "omega" not in vars(st) and "phi" not in vars(st)
@@ -422,8 +476,8 @@ def test_physical_forms_are_built_on_first_read_only(n, points):
     read = step_rk4(grid, unread, 1e-4)
     diagnostics_record(grid, read)
     assert "omega" not in vars(unread) and "phi" not in vars(unread)
-    assert "omega" not in vars(read) and vars(read)["phi"] is read.phi
-    assert read.omega is vars(read)["omega"]
+    assert "omega" not in vars(read) and "phi" not in vars(read)
+    assert read.phi is vars(read)["phi"] and read.omega is vars(read)["omega"]
     assert np.array_equal(read.omega.coeffs, 1j * read.metric.g)
     assert np.array_equal(read.phi.coeffs, grid.from_band(read.phi_hat))
     assert read.omega.bidegree == (1, 1) and read.phi.bidegree == (2, 0)
@@ -499,17 +553,6 @@ def test_samples_hold_band_coefficients_and_build_the_states_forms_bitwise(n, po
     last = result.states[-1]
     assert last.omega_hat is result.final.omega_hat and last.phi_hat is result.final.phi_hat
     assert not hasattr(last, "__dict__") and last.omega is not last.omega
-
-
-def live_bytes(fn):
-    """(fn(), the bytes its result keeps live, by tracemalloc)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
 
 
 def test_collected_samples_keep_band_sized_memory():
@@ -646,8 +689,8 @@ def count_eig_range(monkeypatch):
     calls = []
     real = forms_mod._eig_range
 
-    def counted(g, n):
-        calls.append(real(g, n))
+    def counted(diag, upper, n):
+        calls.append(real(diag, upper, n))
         return calls[-1]
 
     monkeypatch.setattr(forms_mod, "_eig_range", counted)
@@ -665,12 +708,12 @@ def test_stage_metrics_compute_no_eigenvalues(monkeypatch):
 
 
 def test_stage_metrics_skip_the_hermiticity_scan_and_copy(grid, monkeypatch):
-    # each stage metric keeps the very block hermitian_from_band built
+    # each stage metric keeps the very half hermitian_from_band built
     st = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=1)
     scans, blocks, metrics = [], [], []
     real_scan = forms_mod._hermiticity_defect
     real_block = TorusGrid.hermitian_from_band
-    real_build = forms_mod.HermitianMetric.from_matrix
+    real_build = forms_mod.HermitianMetric.from_half
 
     def scan(g):
         scans.append(g)
@@ -680,17 +723,17 @@ def test_stage_metrics_skip_the_hermiticity_scan_and_copy(grid, monkeypatch):
         blocks.append(real_block(self, g_hat))
         return blocks[-1]
 
-    def build(cls, g, herm_tol=1e-8):
-        metrics.append(real_build(g, herm_tol))
+    def build(cls, diag, upper):
+        metrics.append(real_build(diag, upper))
         return metrics[-1]
 
     monkeypatch.setattr(forms_mod, "_hermiticity_defect", scan)
     monkeypatch.setattr(TorusGrid, "hermitian_from_band", block)
-    monkeypatch.setattr(forms_mod.HermitianMetric, "from_matrix", classmethod(build))
+    monkeypatch.setattr(forms_mod.HermitianMetric, "from_half", classmethod(build))
     out = step_rk4(grid, st, 1e-4)
     assert scans == []
     assert len(metrics) == len(blocks) == 4
-    assert all(m.g is b for m, b in zip(metrics, blocks))
+    assert all(m.diag is diag and m.upper is upper for m, (diag, upper) in zip(metrics, blocks))
     assert out.metric is metrics[-1]
 
 
@@ -705,7 +748,7 @@ def test_run_flow_computes_eigenvalues_once_per_sample(grid, monkeypatch):
 
 def test_margin_and_dt_bound_read_the_eigenvalue_range_bitwise(grid):
     st = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=1)
-    lo, hi = forms_mod._eig_range(st.metric.g, grid.n)
+    lo, hi = forms_mod._eig_range(st.metric.diag, st.metric.upper, grid.n)
     assert diagnostics_record(grid, st)["min_eig_margin"] == lo
     assert parabolic_dt_bound(grid, st.metric, 0.25) == 0.25 * (1 / 8) * (1 / 8) * lo / hi
 

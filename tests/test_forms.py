@@ -13,8 +13,10 @@ from plurisym.config import DEFAULT_GRID
 from plurisym.flow import make_initial_hs, step_rk4
 from plurisym.forms import (
     _eig_range,
+    _hermitian_half,
     _hermiticity_defect,
     _inverse,
+    _positive_det,
     _positive_det_inv,
     Form,
     HermitianMetric,
@@ -34,7 +36,9 @@ from plurisym.forms import (
 )
 
 from oracles import (
+    FullBlockMetric,
     oracle_conjugate,
+    oracle_hermitian_block,
     oracle_inner,
     oracle_star,
     oracle_trace,
@@ -49,6 +53,22 @@ def monomial(n, p, q, I, J, value=1.0):
     f = Form.zeros(n, p, q)
     f.coeffs[multi_indices(n, p).index(I), multi_indices(n, q).index(J)] = value
     return f
+
+
+def eig_range(g):
+    """``_eig_range`` of the Hermitian half of an (n, n, *payload) block."""
+    return _eig_range(*_hermitian_half(g), g.shape[0])
+
+
+def from_half_of(g):
+    """The metric built from g's half, with no Hermiticity scan: the flow stages' route."""
+    return HermitianMetric.from_half(*_hermitian_half(np.asarray(g, dtype=np.complex128)))
+
+
+# the two ways a metric is built: from a block, scanned for Hermiticity, and
+# from its Hermitian half as it is
+BUILDS = pytest.mark.parametrize("build", [HermitianMetric.from_matrix, from_half_of],
+                                 ids=["scanned", "hermitian"])
 
 
 def forms_close(a, b, tol=1e-12):
@@ -180,10 +200,9 @@ def test_metric_closed_forms_against_linalg():
         for k in range(pts):
             g[:, :, k] = random_hermitian_positive(rng, n)
         vals = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
-        # herm_tol=None reads g's upper triangle as given; a scanned g is
-        # stored as its Hermitian block, which has the same upper triangle
-        for herm_tol in (1e-8, None):
-            m = HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+        # a half is kept as it is; a scanned g is kept as its half
+        for build in (HermitianMetric.from_matrix, from_half_of):
+            m = build(g)
             for k in range(pts):
                 gk = g[:, :, k]
                 assert m.det[k] == pytest.approx(np.linalg.det(gk).real, rel=1e-12)
@@ -196,6 +215,11 @@ def test_metric_rejects_non_hermitian():
     g = np.array([[1.0, 0.5], [0.1, 1.0]], dtype=np.complex128)
     with pytest.raises(ValueError, match="Hermitian"):
         HermitianMetric.from_matrix(g)
+
+
+def test_metric_half_rejects_a_mismatched_upper_triangle():
+    with pytest.raises(ValueError, match=r"upper triangle \(1, 4\) does not match"):
+        HermitianMetric.from_half(np.ones((3, 4)), np.zeros((1, 4), dtype=np.complex128))
 
 
 def test_metric_positivity_failure():
@@ -220,21 +244,21 @@ def test_metric_non_finite_entry_is_a_positivity_loss(bad, entry):
     assert math.isnan(info.value.margin)
 
 
-@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@BUILDS
 @pytest.mark.parametrize("diag", [(1.0, 0.0), (1.0, 1.0, 0.0)], ids=["n2", "n3"])
-def test_singular_metric_raises_without_warning(diag, herm_tol):
+def test_singular_metric_raises_without_warning(diag, build):
     # the minors are checked before anything divides by det
     g = np.diag(np.array(diag, dtype=np.complex128))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PositivityLostError) as info:
-            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+            build(g)
     assert info.value.margin == 0.0
 
 
-@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@BUILDS
 @pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
-def test_overflowing_det_is_a_positivity_loss(n, herm_tol):
+def test_overflowing_det_is_a_positivity_loss(n, build):
     # finite entries whose determinant overflows: no inverse can be read off
     # that det, so the block is a positivity loss, raised without a warning
     g = np.empty((n, n, 4), dtype=np.complex128)
@@ -244,13 +268,13 @@ def test_overflowing_det_is_a_positivity_loss(n, herm_tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PositivityLostError) as info:
-            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+            build(g)
     assert math.isnan(info.value.margin)
 
 
-@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@BUILDS
 @pytest.mark.parametrize("n, entry", [(2, 1e-160), (3, 1e-103)], ids=["n2", "n3"])
-def test_subnormal_det_is_a_positivity_loss(n, entry, herm_tol):
+def test_subnormal_det_is_a_positivity_loss(n, entry, build):
     # a positive but subnormal det (1e-320, 1e-309) has no finite reciprocal:
     # it fails Sylvester's check, with the eigenvalue-range margin, unwarned
     g = np.empty((n, n, 4), dtype=np.complex128)
@@ -261,13 +285,13 @@ def test_subnormal_det_is_a_positivity_loss(n, entry, herm_tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PositivityLostError) as info:
-            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
-    assert info.value.margin == _eig_range(g, n)[0] == entry
+            build(g)
+    assert info.value.margin == eig_range(g)[0] == entry
 
 
-@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@BUILDS
 @pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
-def test_overflowing_inverse_is_a_positivity_loss(n, herm_tol):
+def test_overflowing_inverse_is_a_positivity_loss(n, build):
     # det is normal (1e-210) but the smallest eigenvalue is subnormal, so the
     # inverse overflows: a positivity loss with the eigenvalue-range margin,
     # raised without a warning
@@ -279,19 +303,19 @@ def test_overflowing_inverse_is_a_positivity_loss(n, herm_tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PositivityLostError) as info:
-            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
-        assert info.value.margin == _eig_range(g, n)[0]
+            build(g)
+        assert info.value.margin == eig_range(g)[0]
     assert 0.0 <= info.value.margin <= 1e-300
 
 
-@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@BUILDS
 @pytest.mark.parametrize("bad", [
     (-1.0, -1.0),             # g00 fails; det > 0
     (1.0, -1.0, -1.0),        # the 2x2 leading minor fails; det > 0
     (1.0, 1.0, -1.0),         # only det fails
     (1.0, 1.0, -1.0, -1.0),   # the 3x3 leading minor fails; det > 0
 ], ids=["n2-g00", "n3-minor2", "n3-det", "n4-minor3"])
-def test_indefinite_point_trips_the_minor_guard(bad, herm_tol):
+def test_indefinite_point_trips_the_minor_guard(bad, build):
     # one indefinite point in an otherwise positive stack; the margin is the
     # stack's smallest eigenvalue, exactly as the eigenvalue range reads it
     n = len(bad)
@@ -301,8 +325,8 @@ def test_indefinite_point_trips_the_minor_guard(bad, herm_tol):
         g[:, :, k] = random_hermitian_positive(rng, n)
     g[:, :, 3] = np.diag(bad)
     with pytest.raises(PositivityLostError) as info:
-        HermitianMetric.from_matrix(g, herm_tol=herm_tol)
-    assert info.value.margin == _eig_range(g, n)[0]
+        build(g)
+    assert info.value.margin == eig_range(g)[0]
     assert info.value.margin == -1.0
 
 
@@ -316,7 +340,7 @@ def test_metric_of_form_round_trip():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_metric_stores_the_hermitian_block(n):
-    # a g within herm_tol of Hermitian: its lower triangle and the imaginary
+    # a g within _HERM_TOL of Hermitian: its lower triangle and the imaginary
     # part of its diagonal are dropped, and ginv inverts what is stored
     rng = np.random.default_rng(47 + n)
     exact = random_stack(rng, n, 9)
@@ -325,6 +349,10 @@ def test_metric_stores_the_hermitian_block(n):
     g = exact + 1e-10 * (rng.standard_normal(exact.shape)
                          + 1j * rng.standard_normal(exact.shape))
     m = HermitianMetric.from_matrix(g)
+    # the metric keeps the half alone: the real diagonal and the upper triangle
+    assert list(vars(m)) == ["n", "diag", "upper", "det"]
+    assert np.array_equal(m.diag, [g[i, i].real for i in range(n)])
+    assert np.array_equal(m.upper, [g[i, j] for i, j in multi_indices(n, 2)])
     for i in range(n):
         assert np.array_equal(m.g[i, i], g[i, i].real.astype(np.complex128))
         for j in range(i + 1, n):
@@ -340,7 +368,7 @@ def test_metric_of_form_rebuilds_the_flow_metric_bitwise(n):
     grid = TorusGrid(n, DEFAULT_GRID[n])
     state = step_rk4(grid, make_initial_hs(grid), 1e-4)
     again = metric_of_form(state.omega)
-    for name in ("g", "det", "ginv"):
+    for name in ("diag", "upper", "g", "det", "ginv"):
         assert np.array_equal(getattr(again, name), getattr(state.metric, name)), name
 
 
@@ -373,7 +401,7 @@ def test_certified_eig_range_on_the_default_n3_metric():
     grid = TorusGrid(3, 4)
     state = make_initial_hs(grid, mode_cutoff=1)
     for g in (state.metric.g, step_rk4(grid, state, 1e-4).metric.g):
-        assert _eig_range(g, 3) == direct_eig_range(g)
+        assert eig_range(g) == direct_eig_range(g)
 
 
 def test_certified_eig_range_finds_an_off_diagonal_minimum():
@@ -387,12 +415,12 @@ def test_certified_eig_range_finds_an_off_diagonal_minimum():
     g[:, :, 2] = [[2.5, 0.0, 1.3], [0.0, 1.5, 0.0], [1.3, 0.0, 2.5]]
     want = direct_eig_range(g)
     assert want[0] == pytest.approx(0.6) and want[1] == pytest.approx(3.8)
-    assert _eig_range(g, 3) == want
+    assert eig_range(g) == want
 
 
 def test_certified_eig_range_on_the_flat_stack():
     # every point ties for both extremes
-    assert _eig_range(flat_metric(3, (4, 5)).g, 3) == (1.0, 1.0)
+    assert eig_range(flat_metric(3, (4, 5)).g) == (1.0, 1.0)
 
 
 def test_certified_eig_range_separates_near_ties():
@@ -403,16 +431,16 @@ def test_certified_eig_range_separates_near_ties():
     g[:, :, 3] = rotated([np.nextafter(1.0, 2.0), 1.5, 2.0])
     lows = [direct_eig_range(g[:, :, k:k + 1])[0] for k in (1, 3)]
     assert 0 < abs(lows[0] - lows[1]) <= 2 * np.spacing(1.0)
-    assert _eig_range(g, 3) == direct_eig_range(g)
+    assert eig_range(g) == direct_eig_range(g)
 
 
-@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
-def test_indefinite_n3_stack_reports_the_direct_minimum(herm_tol):
+@BUILDS
+def test_indefinite_n3_stack_reports_the_direct_minimum(build):
     rng = np.random.default_rng(13)
     g = random_stack(rng, 3, 5)
     g[:, :, 2] = rotated([-0.3, 1.0, 2.0], seed=4)
     with pytest.raises(PositivityLostError) as info:
-        HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+        build(g)
     assert info.value.margin == direct_eig_range(g)[0]
     assert info.value.margin == pytest.approx(-0.3)
 
@@ -423,7 +451,7 @@ def test_certified_eig_range_of_a_nan_stack_is_nan(entry):
     # there alone is pinned through from_matrix (non-finite entry test)
     g = flat_metric(3, (4,)).g
     g[entry + (1,)] = np.nan
-    lo, hi = _eig_range(g, 3)
+    lo, hi = eig_range(g)
     assert math.isnan(lo) and math.isnan(hi)
 
 
@@ -431,7 +459,7 @@ def test_certified_eig_range_of_a_nan_stack_is_nan(entry):
 def test_n3_hermitian_closed_form_against_linalg(spread):
     rng = np.random.default_rng(37)
     g = random_stack(rng, 3, 40, spread)
-    m = HermitianMetric.from_matrix(g, herm_tol=None)
+    m = from_half_of(g)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert np.array_equal(m.ginv[j, i], np.conj(m.ginv[i, j]))
     stacked = np.moveaxis(g, -1, 0)
@@ -488,16 +516,18 @@ def test_blocked_metric_kernels_match_the_whole_payload_bytewise(n, points, bloc
         monkeypatch.setattr(forms_mod, "_BLOCK", block)
     grid = TorusGrid(n, points)
     state = step_rk4(grid, make_initial_hs(grid), 1e-4)
-    g, size = state.metric.g, points ** (2 * n)
-    det, ginv = _positive_det_inv(g, n)
-    m = HermitianMetric.from_matrix(g, herm_tol=None)
-    assert list(vars(m)) == ["n", "g", "det"]
+    diag, upper, size = state.metric.diag, state.metric.upper, points ** (2 * n)
+    det, ginv = _positive_det_inv(diag, upper, n)
+    m = HermitianMetric.from_half(diag, upper)
+    assert list(vars(m)) == ["n", "diag", "upper", "det"]
     assert m.det.tobytes() == det.tobytes() == state.metric.det.tobytes()
     assert m.ginv.tobytes() == ginv.tobytes()
     blocks = list(forms_mod._blocks(size))
     assert len(blocks) == -(-size // forms_mod._BLOCK) and size % forms_mod._BLOCK
-    flat_g, flat_det = flat_points(g), det.reshape(-1)
-    pieces = [_inverse(flat_g[:, :, blk], flat_det[blk], n) for blk in blocks]
+    flat_diag, flat_upper = diag.reshape(n, -1), upper.reshape(len(upper), -1)
+    flat_det = det.reshape(-1)
+    pieces = [_inverse(flat_diag[:, blk], flat_upper[:, blk], flat_det[blk], n)
+              for blk in blocks]
     assert np.concatenate(pieces, axis=2).tobytes() == ginv.tobytes()
     # the trace a stage takes, against metric_trace of the whole inverse
     a = Form(n, 2, 1, grid.from_band(grid.derivative_hat(state.omega_hat, 1, 1, anti=False)))
@@ -507,7 +537,8 @@ def test_blocked_metric_kernels_match_the_whole_payload_bytewise(n, points, bloc
     # the pairing a record takes
     phi = flat_points(state.phi.coeffs)
     pieces = [inner_product(Form(n, 2, 0, phi[:, :, blk]), Form(n, 2, 0, phi[:, :, blk]),
-                            HermitianMetric(n, flat_g[:, :, blk], flat_det[blk]))
+                            HermitianMetric(n, flat_diag[:, blk], flat_upper[:, blk],
+                                            flat_det[blk]))
               for blk in blocks]
     whole = inner_product(state.phi, state.phi, m)
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
@@ -525,10 +556,10 @@ def blocked_stack(n, blocks=3, extra=100):
 def whole_payload_margin(g, n):
     """The margin the whole-payload route raises with on g, or None when g passes."""
     try:
-        passed = _positive_det_inv(g, n) is not None
+        passed = _positive_det_inv(*_hermitian_half(g), n) is not None
     except PositivityLostError as err:
         return err.margin
-    return None if passed else _eig_range(g, n)[0]
+    return None if passed else eig_range(g)[0]
 
 
 def set_point(g, k, diag):
@@ -570,10 +601,10 @@ BLOCKED_FAULTS = ["nan-last", "inf-last", "indefinite-middle", "overflowing-det-
                   "subnormal-det-middle", "overflowing-inverse-last", "indefinite-then-overflow"]
 
 
-@pytest.mark.parametrize("herm_tol", [1e-8, None], ids=["scanned", "hermitian"])
+@BUILDS
 @pytest.mark.parametrize("fault", BLOCKED_FAULTS)
 @pytest.mark.parametrize("n", [2, 3])
-def test_blocked_check_raises_as_the_whole_payload(n, fault, herm_tol, monkeypatch):
+def test_blocked_check_raises_as_the_whole_payload(n, fault, build, monkeypatch):
     # each fault in a stack of 3 full blocks and a short one raises the
     # exception and margin the whole-payload check gives on the same g,
     # without a floating-point warning
@@ -584,12 +615,12 @@ def test_blocked_check_raises_as_the_whole_payload(n, fault, herm_tol, monkeypat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PositivityLostError) as info:
-            HermitianMetric.from_matrix(g, herm_tol=herm_tol)
+            build(g)
     got = info.value.margin
     if kind == "nan":
         assert math.isnan(got) and math.isnan(want)
     else:
-        assert got == want == _eig_range(g, n)[0]
+        assert got == want == eig_range(g)[0]
         if kind != "eig":
             assert got == kind
 
@@ -604,10 +635,63 @@ def test_blocked_check_clears_an_inverse_diagonal_its_bound_cannot(n, scale, mon
     set_point(g, 3, [scale] * n)
     set_point(g, 4, [1.0 / scale] * n)
     m = HermitianMetric.from_matrix(g)
-    det, ginv = _positive_det_inv(g, n)
+    det, ginv = _positive_det_inv(*_hermitian_half(g), n)
     assert m.det.tobytes() == det.tobytes()
     assert m.ginv[0, 0, 3] == pytest.approx(1.0 / scale) and m.ginv[0, 0, 4] == pytest.approx(scale)
     assert m.ginv.tobytes() == ginv.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the Hermitian half against the full block
+# ----------------------------------------------------------------------
+
+def near_hermitian_stack(rng, n, payload):
+    """Identity plus a Hermitian perturbation, with a non-Hermitian defect of 1e-12."""
+    shape = (n, n) + payload
+    noise = 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    eye = np.eye(n).reshape((n, n) + (1,) * len(payload))
+    defect = 1e-12 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return eye + noise + np.conj(np.swapaxes(noise, 0, 1)) + defect
+
+
+@pytest.mark.parametrize("n, payload", [
+    (2, ()), (3, ()), (4, ()),
+    (2, (forms_mod._BLOCK + 100,)), (3, (forms_mod._BLOCK + 100,)), (4, (7, 3)),
+], ids=["n2-point", "n3-point", "n4-point", "n2-blocks", "n3-blocks", "n4-payload"])
+def test_half_kernels_match_the_full_block_bitwise(n, payload):
+    # a metric keeps only the half of g; g, det, the inverse, the eigenvalue
+    # range and the trace give the bits of the full block the metric kept
+    # before (the linalg route at n=4), on payloads across _BLOCK
+    rng = np.random.default_rng(59 + n)
+    raw = near_hermitian_stack(rng, n, payload)
+    m = HermitianMetric.from_matrix(raw)
+    ref = FullBlockMetric(oracle_hermitian_block(raw))
+    assert m.diag.dtype == np.float64 and m.upper.dtype == np.complex128
+    assert np.array_equal(m.g, ref.g)
+    assert np.array_equal(_positive_det(m.diag, m.upper, n), ref.det)
+    assert np.array_equal(m.det, ref.det)
+    assert np.array_equal(m.ginv, ref.ginv)
+    assert _eig_range(m.diag, m.upper, n) == ref.eig_range
+    shape = (math.comb(n, 2), n) + payload
+    a = Form(n, 2, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert np.array_equal(blocked_metric_trace(a, m).coeffs, metric_trace(a, ref).coeffs)
+
+
+def test_hodge_star_is_block_invariant():
+    # star of a field of more than _BLOCK points, against its pieces: numpy
+    # multiplies a temporary of 256 KiB or more in place, so the star names
+    # its products in that order at every size
+    n, points, piece = 3, forms_mod._BLOCK + 3000, 4096
+    rng = np.random.default_rng(61)
+    m = HermitianMetric.from_matrix(near_hermitian_stack(rng, n, (points,)))
+    shape = (math.comb(n, 2), n, points)
+    a = Form(n, 2, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    whole = hodge_star(a, m).coeffs
+    for start in range(0, points, piece):
+        blk = slice(start, start + piece)
+        part = HermitianMetric(n, m.diag[:, blk], m.upper[:, blk], m.det[blk])
+        got = hodge_star(Form(n, 2, 1, a.coeffs[:, :, blk]), part).coeffs
+        assert np.array_equal(got, whole[:, :, blk]), f"points {start}-{start + piece - 1}"
 
 
 # ----------------------------------------------------------------------
@@ -823,7 +907,7 @@ def test_blocked_trace_matches_the_per_row_reference_bitwise(n, form_payload, me
         got = metric_trace(a, m)
         assert got.coeffs.shape == want.coeffs.shape
         assert np.array_equal(got.coeffs, want.coeffs), f"({p},{q})"
-        unread = HermitianMetric(n, m.g, m.det)
+        unread = HermitianMetric(n, m.diag, m.upper, m.det)
         assert blocked_metric_trace(a, unread).coeffs.tobytes() == got.coeffs.tobytes()
         if metric_payload == form_payload and metric_payload:
             assert "ginv" not in vars(unread)

@@ -362,9 +362,9 @@ def test_derivative_identities_build_metrics_at_interior_samples_only(
     metrics = []
     real = forms_mod.HermitianMetric.from_matrix
 
-    def build(cls, g, herm_tol=1e-8):
+    def build(cls, g):
         metrics.append(None)
-        return real(g, herm_tol)
+        return real(g)
 
     monkeypatch.setattr(forms_mod.HermitianMetric, "from_matrix", classmethod(build))
     check_derivative_identities(grid2, states)
