@@ -56,9 +56,9 @@ from .forms import (
     HermitianMetric,
     _blocks,
     _hermitian_block,
-    blocked_metric_trace,
     inner_product,
     metric_of_form,
+    metric_trace,
 )
 from .volume import beta_form
 
@@ -209,7 +209,7 @@ def _omega_velocity(grid: TorusGrid, metric: HermitianMetric,
     lives only while it is traced.
     """
     log_det_hat = grid.to_band(np.log(metric.det))
-    a = blocked_metric_trace(Form(grid.n, 2, 1, del_omega()), metric)  # (1,0)
+    a = metric_trace(Form(grid.n, 2, 1, del_omega()), metric)  # (1,0)
     c_hat = grid.derivative_hat(grid.to_band(a.coeffs), 1, 0, anti=True)
     c_hat += 0.5 * grid.ddbar_hat(log_det_hat)
     return c_hat + grid.band_conjugate(c_hat, 1, 1)
@@ -218,7 +218,7 @@ def _omega_velocity(grid: TorusGrid, metric: HermitianMetric,
 def _phi_velocity(grid: TorusGrid, metric: HermitianMetric,
                   dbar_phi: np.ndarray) -> np.ndarray:
     """Band coefficients of the phi velocity: minus del of the metric trace of dbar(phi)."""
-    b = blocked_metric_trace(Form(grid.n, 2, 1, dbar_phi), metric)  # (1,0)
+    b = metric_trace(Form(grid.n, 2, 1, dbar_phi), metric)  # (1,0)
     return -grid.derivative_hat(grid.to_band(b.coeffs), 1, 0, anti=False)
 
 
@@ -272,7 +272,7 @@ def _stage_rate(grid: TorusGrid, st: FlowState):
     Del omega is built, traced by ``_omega_velocity`` and dropped before
     dbar phi is built, so the two (2,1)-fields never live at once.  Each
     trace builds the inverse metric block by block from the metric's half
-    and det (``blocked_metric_trace``), so no grid-sized inverse is built.
+    and det (``metric_trace``), so no grid-sized inverse is built.
     """
     omega_vel = _omega_velocity(
         grid, st.metric,

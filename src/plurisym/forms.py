@@ -49,7 +49,6 @@ __all__ = [
     "inner_product",
     "hodge_star",
     "metric_trace",
-    "blocked_metric_trace",
     "fundamental_form",
     "volume_form",
     "metric_of_form",
@@ -463,17 +462,6 @@ def _negated(z):
     return -z
 
 
-def _positive_det_inv(diag: np.ndarray, upper: np.ndarray, n: int):
-    """Determinant and inverse of a Hermitian half, or None unless positive definite.
-
-    The whole payload at once: ``_positive_det`` and ``_inverse`` over every
-    point.  The reference the blocked routes (``HermitianMetric.from_half``,
-    ``blocked_metric_trace``) are checked against, bit for bit.
-    """
-    det = _positive_det(diag, upper, n)
-    return None if det is None else (det, _inverse(diag, upper, det, n))
-
-
 # relative rounding slack of the certified n=3 eigenvalue range
 _CERT_SLACK = 2.0 ** -40
 
@@ -619,7 +607,7 @@ class HermitianMetric:
     range (``margin``, ``max_eig``) are not needed to validate the metric;
     each is computed on first read and cached.  The flow builds neither on
     its grid: its kernels build the blocks of g and of the inverse from the
-    half and det as they walk the points (``blocked_metric_trace``,
+    half and det as they walk the points (``metric_trace``,
     ``flow._volume_and_pairing``).  At n=3 the eigenvalue range runs
     eigvalsh only at the points the certified range of ``_eig_range``
     leaves, a few hundred of an N=8 grid's 262 144.
@@ -696,9 +684,9 @@ class HermitianMetric:
         After one finiteness scan of the half, ``_blocked_det`` checks the
         points in blocks of ``_BLOCK``, writing det into one payload-sized
         array; no block of the inverse is kept.  Every block is checked, so
-        a determinant that overflows anywhere raises with margin nan, as the
-        whole-payload check does; otherwise a failed block raises with the
-        eigenvalue margin once the walk ends.
+        a determinant that overflows anywhere raises with margin nan, as
+        ``_positive_det`` over the whole payload does; otherwise a failed
+        block raises with the eigenvalue margin once the walk ends.
         """
         n = len(diag)
         if upper.shape != (n * (n - 1) // 2,) + diag.shape[1:]:
@@ -714,8 +702,10 @@ class HermitianMetric:
 def _blocked_det(diag: np.ndarray, upper: np.ndarray, n: int):
     """``_positive_det`` of a half, block by block: the payload-shaped det, or None.
 
-    A single point (payload ``()``) is checked as it is: numpy's complex
-    scalar product rounds differently from its array loops.
+    Each point sees the operations of ``_positive_det`` over the whole
+    payload, so det keeps its bits at any ``_BLOCK``.  A single point
+    (payload ``()``) is checked as it is: numpy's complex scalar product
+    rounds differently from its array loops.
     """
     if diag.ndim == 1:
         return _positive_det(diag, upper, n)
@@ -917,69 +907,50 @@ def metric_trace(a: Form, metric: HermitianMetric) -> Form:
     (those are primitive), returned here as the empty form of bidegree
     (p-1, q-1).
 
-    Each row of ``_trace_table`` multiplies a ginv entry by an input
+    Each row of ``_trace_table`` multiplies an inverse entry by an input
     coefficient and adds the product to (or subtracts it from) its output
     slot, in table order.  A payload of points (the grid, or a form and a
     metric that broadcast against each other) is flattened and walked in
-    blocks of ``_BLOCK`` points (``_trace_blocks``).  A single point
-    (payload ``()``) multiplies numpy scalars instead: their complex product
-    rounds without the fused multiply-add of numpy's array loops, and the
-    point results keep those bits.
+    blocks of ``_BLOCK`` points.  Per block, each row's product goes into
+    one block-sized term buffer, so every point sees the same sums in the
+    same order as a per-row product of whole fields, and nothing of the
+    payload's size is allocated but the output.  A metric on the whole
+    payload builds each block of its inverse from its half and det by the
+    closed forms of ``_inverse_entries``, so no inverse outlives its block
+    and ``ginv`` is never built; a metric broadcast over the form's points
+    reads its own ``ginv``.  A single point (payload ``()``) multiplies
+    numpy scalars instead: their complex product rounds without the fused
+    multiply-add of numpy's array loops, and the point results keep those
+    bits.
     """
     n = a.n
+    shape = (_basis_dim(n, a.p - 1), _basis_dim(n, a.q - 1))
+    table = _trace_table(n, a.p, a.q)
     payload = np.broadcast_shapes(a.payload, metric.payload)
-    if payload:
+    if not payload:
+        out = np.zeros(shape, dtype=np.complex128)
+        for oi, oj, ahol, banti, ii, ij, sign in table:
+            product = metric.ginv[banti, ahol] * a.coeffs[ii, ij]
+            out[oi, oj] = out[oi, oj] - product if sign < 0 else out[oi, oj] + product
+        return Form(n, a.p - 1, a.q - 1, out)
+    if metric.payload != payload:
         ginv = _flat_payload(metric.ginv, payload)
-        return _trace_blocks(a, payload, lambda blk: ginv[:, :, blk])
-    out = np.zeros((_basis_dim(n, a.p - 1), _basis_dim(n, a.q - 1)), dtype=np.complex128)
-    for oi, oj, ahol, banti, ii, ij, sign in _trace_table(n, a.p, a.q):
-        product = metric.ginv[banti, ahol] * a.coeffs[ii, ij]
-        out[oi, oj] = out[oi, oj] - product if sign < 0 else out[oi, oj] + product
-    return Form(n, a.p - 1, a.q - 1, out)
-
-
-def blocked_metric_trace(a: Form, metric: HermitianMetric) -> Form:
-    """``metric_trace`` without the metric's inverse, bit for bit.
-
-    Each block of points builds its block of the inverse from the metric's
-    half and det by the closed forms of ``_inverse_entries`` and traces it,
-    so nothing of the inverse outlives its block and the metric's ``ginv``
-    is never read.  A metric that is not on the full payload, a single
-    point or one broadcast over the form's points, is traced by
-    ``metric_trace``: its inverse is its own, of its own payload.
-    """
-    payload = np.broadcast_shapes(a.payload, metric.payload)
-    if not payload or metric.payload != payload:
-        return metric_trace(a, metric)
-    diag, upper = metric.diag.reshape(a.n, -1), metric.upper.reshape(len(metric.upper), -1)
-    det = np.reshape(metric.det, -1)
-    return _trace_blocks(
-        a, payload, lambda blk: _inverse_entries(diag[:, blk], upper[:, blk], det[blk], a.n))
-
-
-def _trace_blocks(a: Form, payload: Tuple[int, ...], inverse_of) -> Form:
-    """``metric_trace`` of a on a payload of points, walked in blocks of ``_BLOCK``.
-
-    ``inverse_of(blk)`` gives the inverse on a slice of the flat payload,
-    indexed ``[i][j]``: an (n, n, block) array or ``_inverse_entries``.  The rows of ``_trace_table`` are bound to their
-    operands once; per block, each row's product goes into one block-sized
-    term buffer, so every point sees the same sums in the same order as a
-    per-row product of whole fields and nothing of the payload's size is
-    allocated but the output.
-    """
-    n = a.n
-    shape = (_basis_dim(n, a.p - 1), _basis_dim(n, a.q - 1)) + payload
-    out = np.zeros(shape, dtype=np.complex128)
+        inverse_of = lambda blk: ginv[:, :, blk]
+    else:
+        diag, upper = metric.diag.reshape(n, -1), metric.upper.reshape(len(metric.upper), -1)
+        det = np.reshape(metric.det, -1)
+        inverse_of = lambda blk: _inverse_entries(diag[:, blk], upper[:, blk], det[blk], n)
+    out = np.zeros(shape + payload, dtype=np.complex128)
     points = math.prod(payload)
     term = np.empty(min(_BLOCK, points), dtype=np.complex128)
-    flat_out = out.reshape(shape[:2] + (points,))
+    flat_out = out.reshape(shape + (points,))
     coeffs = _flat_payload(a.coeffs, payload)
     rows = [(flat_out[oi, oj], banti, ahol, coeffs[ii, ij], np.subtract if sign < 0 else np.add)
-            for oi, oj, ahol, banti, ii, ij, sign in _trace_table(n, a.p, a.q)]
+            for oi, oj, ahol, banti, ii, ij, sign in table]
     for blk in _blocks(points):
-        ginv = inverse_of(blk)
+        ginv_blk = inverse_of(blk)
         t = term[:min(_BLOCK, points - blk.start)]
         for o, row, col, c, accumulate in rows:
-            np.multiply(ginv[row][col], c[blk], out=t)
+            np.multiply(ginv_blk[row][col], c[blk], out=t)
             accumulate(o[blk], t, out=o[blk])
     return Form(n, a.p - 1, a.q - 1, out)

@@ -102,21 +102,17 @@ def _worst(*errors: float) -> float:
 # ----------------------------------------------------------------------
 
 def pointwise_suite(seed: int = DEFAULT_SEED,
-                    samples: int = POINTWISE_SAMPLES,
-                    sign_flip: bool = False) -> List[CheckResult]:
+                    samples: int = POINTWISE_SAMPLES) -> List[CheckResult]:
     """Pointwise exterior-algebra invariants over random (metric, form) draws.
 
     The headline check contracts a (2,1)-form against the metric two ways:
     through the Hodge star of its wedge with omega^(n-2), and through the
     contraction table.  Star and contraction never share code, so agreement
     pins the orientation, the pairing normalization, and both combinatorial
-    tables at once.  ``sign_flip`` flips the sign of the contraction side,
-    which must make that check fail: a test hook proving the suite would
-    catch a miswired build.
+    tables at once; a negated contraction fails exactly these checks.
     """
     rng = np.random.default_rng(seed)
     results: List[CheckResult] = []
-    flip = -1.0 if sign_flip else 1.0
 
     for n in (2, 3, 4):
         worst = 0.0
@@ -126,7 +122,7 @@ def pointwise_suite(seed: int = DEFAULT_SEED,
             beta = _random_form(rng, n, 2, 1)
             starred = hodge_star(wedge(form_power(fundamental_form(m), n - 2), beta), m)
             contracted = metric_trace(beta, m)
-            residual = starred + (flip * fact) * contracted
+            residual = starred + fact * contracted
             worst = _worst(worst, _flat_norm(residual) / _flat_norm(beta))
         results.append(CheckResult(f"star-trace contraction n={n}", worst, 1e-12))
 

@@ -4,6 +4,19 @@ import numpy as np
 import pytest
 
 from plurisym.calculus import TorusGrid
+from plurisym.cli import _reuse_freed_memory
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_malloc_thresholds():
+    """Run every test under the malloc thresholds that ``plurisym.cli.main`` fixes.
+
+    ``main`` fixes them for the rest of its process, so without this the
+    modules that run before the first CLI test would step the flow under
+    glibc's dynamic thresholds and the rest under fixed ones, and the
+    suite's time would depend on its order.
+    """
+    _reuse_freed_memory()
 
 
 @pytest.fixture

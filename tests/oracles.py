@@ -178,12 +178,13 @@ def oracle_trace_rows(a: Form, ginv: np.ndarray) -> Form:
     """The metric trace as one whole-payload product per contraction, for bitwise pins.
 
     Not an independent algorithm but the plain route that the package's
-    blocked metric_trace must reproduce to the last bit: each contraction of
-    the last holomorphic slot (index x) with the first antiholomorphic slot
-    (index y) is one product ``ginv[y, x] * a[I, J]`` over the whole
-    broadcast payload, added to or subtracted from a zeroed output, for the
-    outputs (I', J') in order, then x, then y.  The signs come from
-    inversion counts.
+    metric_trace must reproduce to the last bit at any block size, whether
+    it reads a metric's ginv or builds each block of the inverse from the
+    metric's half and det: each contraction of the last holomorphic slot
+    (index x) with the first antiholomorphic slot (index y) is one product
+    ``ginv[y, x] * a[I, J]`` over the whole broadcast payload, added to or
+    subtracted from a zeroed output, for the outputs (I', J') in order,
+    then x, then y.  The signs come from inversion counts.
     """
     n, p, q = a.n, a.p, a.q
     hol = {I: k for k, I in enumerate(multi_indices(n, p))}
@@ -280,8 +281,9 @@ class FullBlockMetric:
     det, ginv and eig_range are computed from g on construction: the closed
     forms for n = 2 and 3, reading g's real diagonal and upper triangle in
     the package's operation order, and ``np.linalg`` beyond; the n >= 3
-    eigenvalue range is eigvalsh over the whole block.  ``metric_trace``,
-    ``inner_product`` and ``global_inner_product`` accept it.
+    eigenvalue range is eigvalsh over the whole block.  ``inner_product``
+    and ``global_inner_product`` accept it, and ``oracle_trace_rows`` of
+    its ginv is the trace ``metric_trace`` must give from the half.
     """
 
     def __init__(self, g: np.ndarray):

@@ -78,7 +78,8 @@ def test_traced_child_runs_a_volume_command(tmp_path):
     assert proc.stdout.startswith("name,value,provenance,tolerance,status\n")
     spans = json.loads(trace.read_text(encoding="utf-8"))
     names = {span[0] for span in spans}
-    assert {"flow.run_flow", "flow.step", "volume.identities", "forms.metric_build"} <= names
+    assert {"flow.run_flow", "flow.step", "volume.identities", "forms.metric_build",
+            "forms.metric_trace"} <= names
     snapshot = [span[4] for span in spans if span[0] == "flow.run_flow"]
     assert snapshot == [9 * 16 * 8 ** 4 * 5]
     clock = json.loads(marks.read_text(encoding="utf-8"))

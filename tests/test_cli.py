@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line runners and their exit-code contract."""
 
-import functools
 import importlib.metadata
 import json
 import os
@@ -259,24 +258,29 @@ def test_verify_passes_and_reports_every_suite(tmp_path):
         assert row["worst_error"] <= row["tolerance"]
 
 
-def test_verify_sign_flip_hook_exits_4_and_names_the_suite(tmp_path, capsys,
-                                                           monkeypatch):
-    monkeypatch.setattr(plurisym.verify, "pointwise_suite",
-                        functools.partial(plurisym.verify.pointwise_suite,
-                                          sign_flip=True))
-    out = tmp_path / "flip.csv"
-    assert main(["verify", "--output", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert "star-trace contraction" in err
-    text = out.read_text(encoding="utf-8")
-    assert "star-trace contraction n=2" in text
-    assert ",fail" in text
-
-
 def report_rows(path):
     """name -> (value, status) of a CSV report."""
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
     return {row[0]: (row[1], row[-1]) for row in (line.split(",") for line in lines)}
+
+
+def test_verify_sign_flip_hook_exits_4_and_names_the_suite(tmp_path, capsys, monkeypatch):
+    # the pointwise suite runs with a negated trace; the calculus suite's
+    # torsion identity keeps the real one
+    real_trace, real_suite = plurisym.verify.metric_trace, plurisym.verify.pointwise_suite
+
+    def negated_pointwise_suite(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(plurisym.verify, "metric_trace", lambda *a: -real_trace(*a))
+            return real_suite(*args, **kwargs)
+
+    monkeypatch.setattr(plurisym.verify, "pointwise_suite", negated_pointwise_suite)
+    out = tmp_path / "flip.csv"
+    assert main(["verify", "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "star-trace contraction" in err
+    failed = {name for name, (_, status) in report_rows(out).items() if status == "fail"}
+    assert failed == {f"star-trace contraction n={n}" for n in (2, 3, 4)}
 
 
 def test_verify_fails_a_nan_error_that_does_not_come_first(tmp_path, monkeypatch):

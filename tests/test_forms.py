@@ -17,10 +17,8 @@ from plurisym.forms import (
     _hermiticity_defect,
     _inverse,
     _positive_det,
-    _positive_det_inv,
     Form,
     HermitianMetric,
-    blocked_metric_trace,
     conjugate,
     flat_metric,
     flat_volume_coefficient,
@@ -500,6 +498,9 @@ def test_metric_rejects_a_single_defect(n, entry, bump):
 # 2 * 16 384 + 13 888 points, and 83 521 = 20 * 4096 + 1601 = 5 * 16 384 + 1601
 REMAINDER_GRIDS = [(3, 6), (2, 17)]
 
+# a small block and the default, for the kernels checked at both sizes
+BLOCKS = (4096, forms_mod._BLOCK)
+
 
 def flat_points(x):
     """x (two basis axes, then a C-contiguous payload) as (r, c, points)."""
@@ -510,14 +511,16 @@ def flat_points(x):
 @pytest.mark.parametrize("n, points", REMAINDER_GRIDS)
 def test_blocked_metric_kernels_match_the_whole_payload_bytewise(n, points, block, monkeypatch):
     # the positivity check, the inverse, the trace and the pairing, walked in
-    # blocks, against the same closed forms over the whole payload at once;
-    # complex products name one operand order, so the block size moves no bit
+    # blocks, against the same closed forms over the whole payload at once
+    # (the trace against one whole-payload product per row); complex
+    # products name one operand order, so the block size moves no bit
     if block:
         monkeypatch.setattr(forms_mod, "_BLOCK", block)
     grid = TorusGrid(n, points)
     state = step_rk4(grid, make_initial_hs(grid), 1e-4)
     diag, upper, size = state.metric.diag, state.metric.upper, points ** (2 * n)
-    det, ginv = _positive_det_inv(diag, upper, n)
+    det = _positive_det(diag, upper, n)
+    ginv = _inverse(diag, upper, det, n)
     m = HermitianMetric.from_half(diag, upper)
     assert list(vars(m)) == ["n", "diag", "upper", "det"]
     assert m.det.tobytes() == det.tobytes() == state.metric.det.tobytes()
@@ -529,10 +532,10 @@ def test_blocked_metric_kernels_match_the_whole_payload_bytewise(n, points, bloc
     pieces = [_inverse(flat_diag[:, blk], flat_upper[:, blk], flat_det[blk], n)
               for blk in blocks]
     assert np.concatenate(pieces, axis=2).tobytes() == ginv.tobytes()
-    # the trace a stage takes, against metric_trace of the whole inverse
+    # the trace a stage takes builds no inverse of the whole grid
     a = Form(n, 2, 1, grid.from_band(grid.derivative_hat(state.omega_hat, 1, 1, anti=False)))
-    assert (blocked_metric_trace(a, state.metric).coeffs.tobytes()
-            == metric_trace(a, m).coeffs.tobytes())
+    assert (metric_trace(a, state.metric).coeffs.tobytes()
+            == oracle_trace_rows(a, ginv).coeffs.tobytes())
     assert "ginv" not in vars(state.metric)
     # the pairing a record takes
     phi = flat_points(state.phi.coeffs)
@@ -556,7 +559,7 @@ def blocked_stack(n, blocks=3, extra=100):
 def whole_payload_margin(g, n):
     """The margin the whole-payload route raises with on g, or None when g passes."""
     try:
-        passed = _positive_det_inv(*_hermitian_half(g), n) is not None
+        passed = _positive_det(*_hermitian_half(g), n) is not None
     except PositivityLostError as err:
         return err.margin
     return None if passed else eig_range(g)[0]
@@ -635,7 +638,9 @@ def test_blocked_check_clears_an_inverse_diagonal_its_bound_cannot(n, scale, mon
     set_point(g, 3, [scale] * n)
     set_point(g, 4, [1.0 / scale] * n)
     m = HermitianMetric.from_matrix(g)
-    det, ginv = _positive_det_inv(*_hermitian_half(g), n)
+    diag, upper = _hermitian_half(g)
+    det = _positive_det(diag, upper, n)
+    ginv = _inverse(diag, upper, det, n)
     assert m.det.tobytes() == det.tobytes()
     assert m.ginv[0, 0, 3] == pytest.approx(1.0 / scale) and m.ginv[0, 0, 4] == pytest.approx(scale)
     assert m.ginv.tobytes() == ginv.tobytes()
@@ -658,7 +663,7 @@ def near_hermitian_stack(rng, n, payload):
     (2, ()), (3, ()), (4, ()),
     (2, (forms_mod._BLOCK + 100,)), (3, (forms_mod._BLOCK + 100,)), (4, (7, 3)),
 ], ids=["n2-point", "n3-point", "n4-point", "n2-blocks", "n3-blocks", "n4-payload"])
-def test_half_kernels_match_the_full_block_bitwise(n, payload):
+def test_half_kernels_match_the_full_block_bitwise(n, payload, monkeypatch):
     # a metric keeps only the half of g; g, det, the inverse, the eigenvalue
     # range and the trace give the bits of the full block the metric kept
     # before (the linalg route at n=4), on payloads across _BLOCK
@@ -666,15 +671,20 @@ def test_half_kernels_match_the_full_block_bitwise(n, payload):
     raw = near_hermitian_stack(rng, n, payload)
     m = HermitianMetric.from_matrix(raw)
     ref = FullBlockMetric(oracle_hermitian_block(raw))
+    shape = (math.comb(n, 2), n) + payload
+    a = Form(n, 2, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    want = oracle_trace_rows(a, ref.ginv).coeffs.tobytes()
+    for block in BLOCKS:
+        monkeypatch.setattr(forms_mod, "_BLOCK", block)
+        assert metric_trace(a, m).coeffs.tobytes() == want, f"_BLOCK {block}"
+        if payload:
+            assert "ginv" not in vars(m)
     assert m.diag.dtype == np.float64 and m.upper.dtype == np.complex128
     assert np.array_equal(m.g, ref.g)
     assert np.array_equal(_positive_det(m.diag, m.upper, n), ref.det)
     assert np.array_equal(m.det, ref.det)
     assert np.array_equal(m.ginv, ref.ginv)
     assert _eig_range(m.diag, m.upper, n) == ref.eig_range
-    shape = (math.comb(n, 2), n) + payload
-    a = Form(n, 2, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    assert np.array_equal(blocked_metric_trace(a, m).coeffs, metric_trace(a, ref).coeffs)
 
 
 def test_hodge_star_is_block_invariant():
@@ -894,23 +904,24 @@ def random_metric_stack(rng, n, payload):
         "n3-point-form-grid-metric"])
 def test_blocked_trace_matches_the_per_row_reference_bitwise(n, form_payload, metric_payload,
                                                              monkeypatch):
-    # blocks of 4096 points, as the cases above count them; the trace that
-    # builds its inverse per block, from a metric whose inverse is unread,
-    # gives metric_trace's bytes on every layout
-    monkeypatch.setattr(forms_mod, "_BLOCK", 4096)
+    # in blocks of 4096 points, as the cases above count them, and of the
+    # default size: the trace gives the bytes of one whole-payload product
+    # per row on every layout, and a metric on the whole payload builds no
+    # inverse of it
     rng = np.random.default_rng(101)
     m = random_metric_stack(rng, n, metric_payload)
+    whole = (metric_payload != ()
+             and metric_payload == np.broadcast_shapes(form_payload, metric_payload))
     for p, q in [(2, 1), (1, 1), (2, 2)]:
         shape = (math.comb(n, p), math.comb(n, q)) + form_payload
         a = Form(n, p, q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        want = oracle_trace_rows(a, m.ginv)
-        got = metric_trace(a, m)
-        assert got.coeffs.shape == want.coeffs.shape
-        assert np.array_equal(got.coeffs, want.coeffs), f"({p},{q})"
-        unread = HermitianMetric(n, m.diag, m.upper, m.det)
-        assert blocked_metric_trace(a, unread).coeffs.tobytes() == got.coeffs.tobytes()
-        if metric_payload == form_payload and metric_payload:
-            assert "ginv" not in vars(unread)
+        want = oracle_trace_rows(a, _inverse(m.diag, m.upper, m.det, n))
+        for block in BLOCKS:
+            monkeypatch.setattr(forms_mod, "_BLOCK", block)
+            got = metric_trace(a, m)
+            assert got.coeffs.shape == want.coeffs.shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), f"({p},{q}) _BLOCK {block}"
+            assert ("ginv" in vars(m)) != whole
 
 
 def test_star_trace_identity_for_two_one_forms():

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 
+import plurisym.verify
 from plurisym.calculus import TorusGrid
 from plurisym.verify import CheckResult, calculus_suite, pointwise_suite
 
@@ -16,8 +17,11 @@ def test_pointwise_suite_passes_on_a_small_draw():
         assert res.passed, f"{res.name}: {res.worst_error:.3e} > {res.tolerance:.1e}"
 
 
-def test_sign_flip_control_fails_exactly_the_star_trace_checks():
-    results = pointwise_suite(seed=1, samples=5, sign_flip=True)
+def test_sign_flip_control_fails_exactly_the_star_trace_checks(monkeypatch):
+    # the control negates the trace that the suite reads
+    real_trace = plurisym.verify.metric_trace
+    monkeypatch.setattr(plurisym.verify, "metric_trace", lambda *args: -real_trace(*args))
+    results = pointwise_suite(seed=1, samples=5)
     failing = {res.name for res in results if not res.passed}
     assert failing == {f"star-trace contraction n={n}" for n in (2, 3, 4)}
 
