@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from itertools import combinations, permutations
 from typing import Optional, Tuple
 
@@ -845,12 +845,21 @@ def hodge_star(a: Form, metric: Optional[HermitianMetric] = None) -> Form:
     dvc = metric.det * flat_volume_coefficient(n)
     hol_lookup = _index_of(n, r)
     anti_lookup = _index_of(n, s)
+    # a holomorphic minor is read once per J, an antiholomorphic one once per
+    # (I, Ip): a minor read more than once is built once per call, and the
+    # rest where they are read, so no minor is held that is not read again
+    hol_minor = partial(_minor_det, ginv)
+    if len(test_anti) > 1:
+        hol_minor = cache(hol_minor)
+    anti_minor = partial(_minor_det, ginv)
+    if len(test_hol) > 1:
+        anti_minor = cache(anti_minor)
     for I, J, oi, oj, w in rows:
         acc = None
         for Ip in test_hol:
-            hdet = _minor_det(ginv, Ip, I)  # <dz^I, dz^Ip> = det ginv[Ip_b, I_a]
+            hdet = hol_minor(Ip, I)  # <dz^I, dz^Ip> = det ginv[Ip_b, I_a]
             for Jp in test_anti:
-                adet = _minor_det(ginv, J, Jp)  # <dzbar^J, dzbar^Jp>
+                adet = anti_minor(J, Jp)  # <dzbar^J, dzbar^Jp>
                 c = a.coeffs[hol_lookup[Jp], anti_lookup[Ip]]
                 # the temporary first: numpy multiplies a temporary of 256 KiB
                 # or more in place, in that order (see ``_inverse``)

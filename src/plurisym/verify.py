@@ -180,31 +180,41 @@ def _grid_draws(grid: TorusGrid, rng: np.random.Generator, p: int, q: int,
 def _varying_metric_errors(grid: TorusGrid, rng: np.random.Generator):
     """Adjointness, torsion-trace and curvature errors of one random metric on grid.
 
-    Its fields (about 300 MiB at n=3, N=8) are freed on return, before the
-    suite's next check builds its own.
+    Each field is dropped after its last use.  The torsion identity comes
+    first, before the inverse metric is cached, and the curvature check
+    last, once the curvature form is the only field alive; each of its
+    derivatives is reduced to its norm before the other one is.
     """
     n = grid.n
-    flat = fundamental_form(flat_metric(n, grid.shape))
     # metric bumps stay at one mode so products of the inverse metric keep
     # their spectral tail far below Nyquist even on the coarse n=3 grid;
     # wider bumps alias the star-composition route visibly at N=8
     bump = _grid_draws(grid, rng, 1, 1, cutoff=1)
     bump = 0.05 * (bump + conjugate(bump))
-    omega = flat + bump
+    omega = fundamental_form(flat_metric(n, grid.shape)) + bump
+    del bump
     m = metric_of_form(omega)
+    # the identity behind the flow's cheap torsion route
+    rhs_t = metric_trace(grid.del_form(omega), m)
+    lhs_t = codifferential_dbar(grid, omega, m)
+    del omega
+    torsion = l2_norm(grid, lhs_t - rhs_t) / max(l2_norm(grid, rhs_t), 1e-300)
+    del lhs_t, rhs_t
     # adjointness of del against its codifferential in the varying metric
     a = grid.truncate(_grid_draws(grid, rng, 1, 0))
     b = grid.truncate(_grid_draws(grid, rng, 2, 0))
     lhs = global_inner_product(grid, grid.del_form(a), b, m)
     rhs = global_inner_product(grid, a, codifferential_del(grid, b, m), m)
+    del a, b
     adj = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    # the identity behind the flow's cheap torsion route
-    lhs_t = codifferential_dbar(grid, omega, m)
-    rhs_t = metric_trace(grid.del_form(omega), m)
-    torsion = l2_norm(grid, lhs_t - rhs_t) / max(l2_norm(grid, rhs_t), 1e-300)
     c = chern_form(grid, m)
-    chern = _worst(l2_norm(grid, conjugate(c) - c),
-                   *(l2_norm(grid, dc) for dc in grid.derivatives(c)))
+    del m
+    real = l2_norm(grid, conjugate(c) - c)
+    dc, bc = grid.derivatives(c)
+    del c
+    closed_del = l2_norm(grid, dc)
+    del dc
+    chern = _worst(real, closed_del, l2_norm(grid, bc))
     return adj, torsion, chern
 
 
@@ -251,6 +261,7 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
             abs(integrate(grid, grid.del_form(chi))) / top_scale,
             abs(integrate(grid, grid.dbar_form(eta))) / top_scale,
         )
+        del chi, eta
     results.append(CheckResult("derivative nilpotency", nil_worst, 1e-12))
     results.append(CheckResult("stokes on the torus", stokes_worst, 1e-10))
 
@@ -282,8 +293,10 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     for grid in grids:
         m = flat_metric(grid.n, grid.shape)
         flat_err = _worst(flat_err, abs(integrate(grid, volume_form(m)) - 1.0))
-        res = residual_norms(grid, fundamental_form(m),
-                             Form.zeros(grid.n, 2, 0, grid.shape))
+        omega = fundamental_form(m)
+        del m
+        res = residual_norms(grid, omega, Form.zeros(grid.n, 2, 0, grid.shape))
+        del omega
         flat_err = _worst(flat_err, *res.values())
     results.append(CheckResult("flat state is exactly structured", flat_err, 1e-13))
     return results

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,27 @@ def count_fields(monkeypatch):
         return calls
 
     return watch
+
+
+@pytest.fixture
+def traced_peak():
+    """Measure the memory a call allocates at its busiest.
+
+    ``traced_peak(fn)`` returns ``(fn(), peak)``: the tracemalloc peak
+    during the call over what was live before it, in bytes.  Tracing runs
+    for the call if it is not already on.
+    """
+    def measure(fn):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - live
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure

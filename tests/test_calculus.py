@@ -2,7 +2,6 @@
 
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,20 +332,10 @@ def test_ddbar_and_chern_form_match_the_stored_table_bytewise(n, points):
     assert chern_form(grid, metric).coeffs.tobytes() == want.tobytes()
 
 
-def test_a_grid_allocates_nothing_of_band_size():
+def test_a_grid_allocates_nothing_of_band_size(traced_peak):
     # at n=3 N=64 the band holds 43^6 points, and one index array over it
     # took 47 GiB; the grid keeps per-axis matrices, multipliers and flips
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        live = tracemalloc.get_traced_memory()[0]
-        grid = TorusGrid(3, 64)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        if started:
-            tracemalloc.stop()
+    grid, peak = traced_peak(lambda: TorusGrid(3, 64))
     assert grid.band_shape == (43,) * 6
     assert peak < 2 ** 20
 

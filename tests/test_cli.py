@@ -115,6 +115,9 @@ def test_freed_blocks_are_reused_not_faulted_in_again():
     pytest.param("flow", {"flow": {"steps": 10, "sample_every": 5}}, id="flow"),
     # the volume analysis transforms full-grid fields, also BLAS products
     pytest.param("volume", {"flow": {"steps": 30, "sample_every": 5}}, id="volume"),
+    # and the calculus suite's n=3 N=8 products; verify takes only the
+    # output and format of a config
+    pytest.param("verify", {}, id="verify"),
 ])
 def test_flow_bytes_do_not_depend_on_blas_threads(tmp_path, command, overrides):
     # every transform is a BLAS product; at N=16 they are large enough for

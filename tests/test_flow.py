@@ -308,23 +308,12 @@ def test_band_fields_per_step(count_fields, make, n, points, cutoff):
         assert sum(fields) == {2: 44, 3: 120}[n]
 
 
-def peak_fields_above_live(grid, fn):
-    """(fn(), its tracemalloc peak over what was live before it, in complex grid fields)."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        live = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        if started:
-            tracemalloc.stop()
-    return out, peak / (16 * grid.points ** (2 * grid.n))
+def grid_fields(grid, nbytes):
+    """``nbytes`` counted in complex full-grid scalar fields."""
+    return nbytes / (16 * grid.points ** (2 * grid.n))
 
 
-def test_step_peak_memory_above_the_live_state():
+def test_step_peak_memory_above_the_live_state(traced_peak):
     # tracemalloc peak of one n=3 N=6 step over what was live before it, in
     # full-grid complex scalar fields.  Stages that keep the Hermitian half
     # of g and det, and take log det to the band before del omega is built,
@@ -333,12 +322,12 @@ def test_step_peak_memory_above_the_live_state():
     # at once 68
     grid = TorusGrid(3, 6)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
-    out, peak = peak_fields_above_live(grid, lambda: step_rk4(grid, st, 1e-4))
+    out, peak = traced_peak(lambda: step_rk4(grid, st, 1e-4))
     assert out.t > 0.0
-    assert peak < 44.5
+    assert grid_fields(grid, peak) < 44.5
 
 
-def test_record_peak_memory_above_the_live_state():
+def test_record_peak_memory_above_the_live_state(traced_peak):
     # a record of an n=3 N=6 state walks V and F over blocks of points: it
     # builds phi (3 fields, dropped on return), two grid-sized point arrays
     # and block temporaries, and measures 14.0 fields; with the full block
@@ -346,10 +335,10 @@ def test_record_peak_memory_above_the_live_state():
     # full-grid wedge powers and the inverse 27
     grid = TorusGrid(3, 6)
     st = step_rk4(grid, make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1), 1e-4)
-    rec, peak = peak_fields_above_live(grid, lambda: diagnostics_record(grid, st))
+    rec, peak = traced_peak(lambda: diagnostics_record(grid, st))
     assert rec["V"] > 0.0
     assert "omega" not in vars(st) and "phi" not in vars(st) and "ginv" not in vars(st.metric)
-    assert peak < 15.4
+    assert grid_fields(grid, peak) < 15.4
 
 
 @pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])

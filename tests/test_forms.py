@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -702,6 +703,53 @@ def test_hodge_star_is_block_invariant():
         part = HermitianMetric(n, m.diag[:, blk], m.upper[:, blk], m.det[blk])
         got = hodge_star(Form(n, 2, 1, a.coeffs[:, :, blk]), part).coeffs
         assert np.array_equal(got, whole[:, :, blk]), f"points {start}-{start + piece - 1}"
+
+
+def unmemoised_star(a, m):
+    """The star's sum with every Gram minor built afresh for each term, in its order."""
+    n, r, s = a.n, a.p, a.q
+    rows, test_hol, test_anti = forms_mod._star_layout(n, r, s)
+    hol_lookup, anti_lookup = forms_mod._index_of(n, r), forms_mod._index_of(n, s)
+    dvc = m.det * flat_volume_coefficient(n)
+    out = Form.zeros(n, n - s, n - r, np.broadcast_shapes(a.payload, m.payload))
+    for I, J, oi, oj, w in rows:
+        acc = None
+        for Ip in test_hol:
+            hdet = forms_mod._minor_det(m.ginv, Ip, I)
+            for Jp in test_anti:
+                adet = forms_mod._minor_det(m.ginv, J, Jp)
+                term = (hdet * adet) * a.coeffs[hol_lookup[Jp], anti_lookup[Ip]]
+                acc = term if acc is None else acc + term
+        out.coeffs[oi, oj] = (w * dvc) * acc
+    return out
+
+
+@pytest.mark.parametrize("n, r, s", [(3, 3, 2), (3, 2, 0), (3, 1, 1), (3, 2, 1), (2, 2, 1)])
+def test_hodge_star_builds_each_recurring_minor_once(n, r, s, monkeypatch):
+    # the (3,2)-form at the top of both n=3 codifferentials rebuilt det(ginv)
+    # for each of its 9 terms; the star now builds each minor that recurs
+    # once per call, in the same sum
+    rng = np.random.default_rng(71)
+    m = HermitianMetric.from_matrix(near_hermitian_stack(rng, n, (300,)))
+    shape = (math.comb(n, r), math.comb(n, s), 300)
+    a = Form(n, r, s, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    built = []
+    real_minor = forms_mod._minor_det
+
+    def counted(ginv, rows, cols):
+        built.append((rows, cols))
+        return real_minor(ginv, rows, cols)
+
+    monkeypatch.setattr(forms_mod, "_minor_det", counted)
+    want = unmemoised_star(a, m)
+    every_term = list(built)
+    built.clear()
+    got = hodge_star(a, m)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert sorted(set(built)) == sorted(set(every_term))
+    assert len(built) < len(every_term)
+    # at most once as a holomorphic minor and once as an antiholomorphic one
+    assert max(Counter(built).values()) <= 2
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@ acceptance module, where their runtime budgets are asserted)."""
 
 import json
 import math
-import tracemalloc
 
 import plurisym.verify
 from plurisym.calculus import TorusGrid
@@ -39,7 +38,8 @@ def test_check_result_pass_boundary():
     assert not CheckResult("edge", 1.0000001e-12, 1e-12).passed
 
 
-def test_calculus_suite_transforms_each_field_once_and_frees_derivatives(monkeypatch):
+def test_calculus_suite_transforms_each_field_once_and_frees_derivatives(monkeypatch,
+                                                                        traced_peak):
     """Scalar fields through the full-grid transforms, and the traced peak.
 
     764 fields went through them when the suite transformed a field once for
@@ -48,9 +48,13 @@ def test_calculus_suite_transforms_each_field_once_and_frees_derivatives(monkeyp
     the two derivatives of the curvature form alive at 593.8 MiB; reducing
     each derivative to its norm as it is built, 521.8 MiB.  Keeping the
     n=3 fields of the varying-metric checks alive into the flat-state check
-    also peaks at 521.8 MiB; freeing them first, 439.7 MiB.  The random
-    draws and ``truncate`` go through the band transforms, which took the
-    count from 550 to 418.
+    also peaks at 521.8 MiB; freeing them first, 439.7 MiB, later 424.8
+    MiB.  That peak was the varying-metric fields, all alive while the
+    curvature form's derivatives were built; dropping each field after its
+    last use, and the Stokes fields and the flat metric too, takes it to
+    227.0 MiB, in the n=3 flat-state check.  The random draws and
+    ``truncate`` go through the band transforms, which took the count from
+    550 to 418.
     """
     fields = []
 
@@ -62,12 +66,7 @@ def test_calculus_suite_transforms_each_field_once_and_frees_derivatives(monkeyp
 
     monkeypatch.setattr(TorusGrid, "fft", counted(TorusGrid.fft))
     monkeypatch.setattr(TorusGrid, "ifft", counted(TorusGrid.ifft))
-    tracemalloc.start()
-    try:
-        results = calculus_suite()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results, peak = traced_peak(calculus_suite)
     assert all(res.passed for res in results)
     assert sum(fields) == 418
-    assert peak / 2 ** 20 < 480
+    assert peak / 2 ** 20 < 232
