@@ -244,31 +244,51 @@ class TorusGrid:
                 np.multiply(1j * (self.band_mz[i] * self.band_mzbar[j]), u_hat, out=out[i, j])
         return out
 
-    def hermitian_from_band(self, g_hat: np.ndarray):
-        """Hermitian half of a Hermitian field from its band coefficients.
+    def metric_pack(self, omega_hat: np.ndarray) -> np.ndarray:
+        """Band step of the metric g of a real (1,1)-form omega = sqrt(-1) g: its transform inputs.
+
+        ``omega_hat`` holds omega's (n, n) band coefficients.  The result
+        holds ceil(n/2) + n(n-1)/2 band fields of g = -sqrt(-1) omega: the
+        diagonal in pairs g_ii + sqrt(-1) g_(i+1)(i+1) (the last entry alone
+        when n is odd), then the strict upper triangle in
+        ``multi_indices(n, 2)`` order, ready for ``hermitian_from_band``.
+        Each entry is scaled straight into its slot, so the packed array and
+        the pair's second term are all that is allocated.
+        """
+        n = self.n
+        pairs = (n + 1) // 2
+        packed = np.empty((pairs + n * (n - 1) // 2,) + omega_hat.shape[2:],
+                          dtype=np.complex128)
+        for k, i in enumerate(range(0, n, 2)):
+            np.multiply(-1j, omega_hat[i, i], out=packed[k])
+            if i + 1 < n:
+                packed[k] += 1j * (-1j * omega_hat[i + 1, i + 1])
+        for k, (i, j) in enumerate(multi_indices(n, 2), start=pairs):
+            np.multiply(-1j, omega_hat[i, j], out=packed[k])
+        return packed
+
+    def hermitian_from_band(self, packed: np.ndarray):
+        """Grid step: the Hermitian half of a field from its packed band fields (``metric_pack``).
 
         Returns ``(diag, upper)``, as ``forms.HermitianMetric`` keeps it: the
         real diagonal, (n, *grid) float64, and the strict upper triangle,
         (n(n-1)/2, *grid) complex128 in ``multi_indices(n, 2)`` order.  One
-        transform per independent entry.  The diagonal goes in pairs
-        g_ii + sqrt(-1) g_(i+1)(i+1) (the last one alone when n is odd)
-        through one field buffer, read off as real and imaginary parts.
-        Each upper-triangle entry is transformed straight into its slot, so
-        the half and one field are all that is allocated of grid size.
+        transform per packed field.  Each diagonal pair goes through one
+        field buffer and is read off as real and imaginary parts; the upper
+        triangle is transformed straight into its slots, so the half and one
+        field are all that is allocated of grid size.
         """
         n = self.n
+        pairs = (n + 1) // 2
         diag = np.empty((n,) + self.shape)
         upper = np.empty((n * (n - 1) // 2,) + self.shape, dtype=np.complex128)
         pair = np.empty(self.shape, dtype=np.complex128)
-        for i in range(0, n, 2):
+        for k, i in enumerate(range(0, n, 2)):
+            self.from_band(packed[k], out=pair)
+            diag[i] = pair.real
             if i + 1 < n:
-                self.from_band(g_hat[i, i] + 1j * g_hat[i + 1, i + 1], out=pair)
-                diag[i] = pair.real
                 diag[i + 1] = pair.imag
-            else:
-                diag[i] = self.from_band(g_hat[i, i], out=pair).real
-        for k, (i, j) in enumerate(multi_indices(n, 2)):
-            self.from_band(g_hat[i, j], out=upper[k])
+        self.from_band(packed[pairs:], out=upper)
         return diag, upper
 
     def coordinates(self):
@@ -449,7 +469,11 @@ def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarr
         # Parseval: the grid mean of |f|^2 is sum |F|^2 / size^2
         return float(np.sqrt(np.sum(chat.real ** 2 + chat.imag ** 2))) / size
 
+    # del omega's last uses come first, so it is dropped before the (1,2)
+    # derivatives are built
+    pluriclosed = flat_l2(d(d_om, 2, 1, anti=True))
     hs = flat_l2(d_om + d(phi_hat, 2, 0, anti=True))
+    del d_om
     d_phi = flat_l2(d(phi_hat, 2, 0, anti=False))
     closedness = (
         d_phi ** 2
@@ -461,7 +485,7 @@ def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarr
         "d_omega": float(np.sqrt(closedness)),
         "hs_constraint": hs,
         "del_phi": d_phi,
-        "pluriclosed": flat_l2(d(d_om, 2, 1, anti=True)),
+        "pluriclosed": pluriclosed,
     }
 
 

@@ -153,17 +153,22 @@ class FlowState:
 
 
 class Sample(NamedTuple):
-    """A sampled state's band coefficients and its record's V and F, as run_flow collects them.
+    """A sampled state's band fields and its record's V and F, as run_flow collects them.
 
-    ``omega_hat`` and ``phi_hat`` are the state's own arrays, not copies.
-    The physical forms ``omega`` and ``phi`` are built from them on each
-    read and never kept, so a list of samples holds band coefficients only;
-    read each once per pass.  They are bitwise the state's ``omega`` and
-    ``phi``.
+    ``packed`` holds the band inputs of the state's metric transforms, as
+    the band step packs them from the state's omega coefficients
+    (``TorusGrid.metric_pack``: ceil(n/2) + n(n-1)/2 band fields), and ``phi_hat``
+    is the state's own array, not a copy: 3 band fields at n=2 and 8 at
+    n=3, against n^2 + n(n-1)/2 for omega's and phi's coefficients.  The
+    physical forms ``omega`` and ``phi`` are built from them on each read
+    and never kept, so a list of samples holds band fields only; read each
+    once per pass.  omega goes through the band and grid steps that built
+    the state's metric, so both forms are bitwise the state's ``omega`` and
+    ``phi`` by construction.
     """
 
     t: float
-    omega_hat: np.ndarray
+    packed: np.ndarray
     phi_hat: np.ndarray
     V: float
     F: float
@@ -173,7 +178,7 @@ class Sample(NamedTuple):
     def omega(self) -> Form:
         """The physical (1,1)-form, built on this read: i times the metric block."""
         return Form(self.grid.n, 1, 1,
-                    1j * _hermitian_block(*_metric_half(self.grid, self.omega_hat)))
+                    1j * _hermitian_block(*self.grid.hermitian_from_band(self.packed)))
 
     @property
     def phi(self) -> Form:
@@ -185,7 +190,9 @@ class Sample(NamedTuple):
 class FlowResult:
     """Diagnostic series of a run, the samples (if collected), and the final state.
 
-    Each sample holds band coefficients and builds its physical forms on read.
+    Each sample holds its state's packed metric band fields and phi's band
+    coefficients (3 band fields at n=2, 8 at n=3), and builds its physical
+    forms on read.
     """
 
     records: List[dict]
@@ -246,17 +253,18 @@ def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
 def _metric_half(grid: TorusGrid, omega_hat: np.ndarray):
     """Hermitian half of g for the real (1,1)-form sqrt(-1) g with band coefficients ``omega_hat``.
 
-    ``(diag, upper)`` as ``HermitianMetric`` keeps them.  A state's metric
-    and a sample's omega are built here, so the two are bitwise equal.
+    ``(diag, upper)`` as ``HermitianMetric`` keeps them, by the band step
+    and the grid step.  A state's metric is built here and a sample's omega
+    by the same two steps, so the two are bitwise equal.
     """
-    return grid.hermitian_from_band(-1j * omega_hat)
+    return grid.hermitian_from_band(grid.metric_pack(omega_hat))
 
 
 def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
                 phi_hat: np.ndarray) -> FlowState:
     """State of band coefficients at time t, with the metric of omega built and checked.
 
-    ``hermitian_from_band`` builds the Hermitian half of g, which the metric
+    ``_metric_half`` builds the Hermitian half of g, which the metric
     keeps as it is (``HermitianMetric.from_half``): no full block, no
     Hermiticity scan and no copy.  Positivity is always enforced.  The
     metric's half and det are the only grid fields a state keeps;
@@ -473,7 +481,8 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
 
     Samples are taken at the start, every ``sample_every`` steps, and at the
     end.  With ``collect_states`` each one is kept as a ``Sample``: the
-    state's band coefficients, which it holds without a copy, and its
+    band step of the state's metric, packed again from its omega
+    coefficients, phi's band coefficients, held without a copy, and its
     record's V and F; its physical forms are built on each read.  A sample
     whose constraint residual is not within ``constraint_abort`` (a NaN one
     included) raises ConstraintViolationError; positivity loss during a step
@@ -497,7 +506,8 @@ def run_flow(grid: TorusGrid, state: FlowState, config: FlowConfig) -> FlowResul
         rec = diagnostics_record(grid, st)
         records.append(rec)
         if config.collect_states:
-            states.append(Sample(st.t, st.omega_hat, st.phi_hat, rec["V"], rec["F"], grid))
+            states.append(Sample(st.t, grid.metric_pack(st.omega_hat), st.phi_hat,
+                                 rec["V"], rec["F"], grid))
         if not rec["hs_constraint_residual"] <= config.constraint_abort:
             raise ConstraintViolationError(
                 f"constraint residual {rec['hs_constraint_residual']:.3e} exceeded "

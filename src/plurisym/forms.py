@@ -494,7 +494,10 @@ def _eig_range(diag: np.ndarray, upper: np.ndarray, n: int):
     certifies ``(L - delta) I - g``; the minors read the real diagonal and
     upper triangle.  eigvalsh then runs once on the points left in either
     set; it treats each matrix of a stack on its own, so the min and max
-    are the full-stack call's.
+    are the full-stack call's.  The moduli and minors are computed over
+    blocks of ``_BLOCK`` points (``_blocks``), one pass for the largest
+    modulus and one for the candidates, so no grid-sized temporary is
+    built; every point sees the same operations at any block size.
 
     Rounding: ``delta = 2^-40 max|g|`` (8192 unit roundoffs), and a
     minor of order k >= 2 counts as positive only above ``2^-40 R^k``, R
@@ -516,19 +519,25 @@ def _eig_range(diag: np.ndarray, upper: np.ndarray, n: int):
         return float(np.min(mid - rad)), float(np.max(mid + rad))
     if n == 3:
         diag, upper = diag.reshape(3, -1), upper.reshape(3, -1)
-        d = [diag[i] for i in range(3)]
-        norms, tri = _off_diagonal_terms(upper[0], upper[1], upper[2])
+        blocks = list(_blocks(diag.shape[1]))
         # np.min and np.max keep a NaN, which Python's min and max can drop
-        low = float(np.min([np.min(di) for di in d]))
-        high = float(np.max([np.max(di) for di in d]))
-        off = math.sqrt(float(np.max([np.max(ni) for ni in norms])))
+        low = float(np.min([np.min(di) for di in diag]))
+        high = float(np.max([np.max(di) for di in diag]))
+        off = math.sqrt(float(np.max([np.max(ni) for blk in blocks
+                                      for ni in _moduli(*upper[:, blk])])))
         if not math.isfinite(low + high + off):
             return math.nan, math.nan
         delta = _CERT_SLACK * max(abs(low), abs(high), off)
         scale = max(high - low + delta, off)
         below, above = low + delta, high - delta
-        keep = np.flatnonzero(_uncertified([di - below for di in d], norms, tri, scale)
-                              | _uncertified([above - di for di in d], norms, -tri, scale))
+        keep = []
+        for blk in blocks:
+            d = diag[:, blk]
+            norms, tri = _off_diagonal_terms(*upper[:, blk])
+            keep.append(blk.start + np.flatnonzero(
+                _uncertified([di - below for di in d], norms, tri, scale)
+                | _uncertified([above - di for di in d], norms, -tri, scale)))
+        keep = np.concatenate(keep)
         diag, upper = diag[:, keep], upper[:, keep]
     vals = np.linalg.eigvalsh(np.moveaxis(_hermitian_block(diag, upper), (0, 1), (-2, -1)))
     return float(np.min(vals)), float(np.max(vals))

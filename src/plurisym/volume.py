@@ -218,7 +218,10 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
     sample's forms once: omega wherever it is used (every sample at n=2,
     for the squared-volume series), phi at the interior samples only.  The
     metric of omega is rebuilt only at the interior samples, whose formula
-    sides are evaluated, bit for bit the one the flow certified.  Three
+    sides are evaluated, bit for bit the one the flow certified.  An
+    interior sample drops each field after its last use: the torsion term
+    and dbar omega first, the metric once the curvature form is built,
+    then that form.  Three
     identities are checked: dV/dt against Q[1; curvature form], dF/dt
     against -2 <dbar omega, dbar omega> in the evolving metric, and (in
     dimension two) the rate of the squared-volume functional P[0,0; 1]
@@ -271,21 +274,21 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
             ps[k] = integrate(grid, form_power(omega, 2)).real
         if k not in interior:
             continue
+        # each field is dropped after its last use
         metric = metric_of_form(omega)
-        c = chern_form(grid, metric)
         dbar_om = grid.dbar_form(omega)
-        rhs = {
-            "volume_rate": integrate(
-                grid, wedge(beta_form(st.phi, omega, 1), c)).real,
-            "pairing_rate": -2.0 * global_inner_product(
-                grid, dbar_om, dbar_om, metric).real,
-        }
         if n == 2:
-            torsion = codifferential_dbar(grid, omega, metric)
-            rhs["p_rate"] = (
-                4.0 * integrate(grid, wedge(torsion, dbar_om)).real
-                + 2.0 * integrate(grid, wedge(omega, c)).real
-            )
+            torsion_term = 4.0 * integrate(
+                grid, wedge(codifferential_dbar(grid, omega, metric), dbar_om)).real
+        rhs = {"pairing_rate": -2.0 * global_inner_product(
+            grid, dbar_om, dbar_om, metric).real}
+        del dbar_om
+        c = chern_form(grid, metric)
+        del metric
+        rhs["volume_rate"] = integrate(grid, wedge(beta_form(st.phi, omega, 1), c)).real
+        if n == 2:
+            rhs["p_rate"] = torsion_term + 2.0 * integrate(grid, wedge(omega, c)).real
+        del c, omega
         rhs_at[k] = rhs
 
     series = {"volume_rate": vols, "pairing_rate": fs}

@@ -346,7 +346,7 @@ def test_flat_metric_from_the_band_is_exact():
     omega_hat = np.zeros((2, 2) + grid.band_shape, dtype=np.complex128)
     for i in range(2):
         omega_hat[(i, i) + (0,) * 4] = 1j * grid.points ** 4
-    diag, upper = grid.hermitian_from_band(-1j * omega_hat)
+    diag, upper = grid.hermitian_from_band(grid.metric_pack(omega_hat))
     assert diag.dtype == np.float64 and np.array_equal(diag, np.ones((2,) + grid.shape))
     assert upper.dtype == np.complex128 and np.array_equal(upper, np.zeros((1,) + grid.shape))
     const = np.zeros(grid.band_shape, dtype=np.complex128)

@@ -246,6 +246,24 @@ def test_one_step_n3_grid12_flow_peaks_under_2gb(tmp_path):
     assert peak_kib * 1024 < 2e9
 
 
+@pytest.mark.slow
+def test_default_n2_volume_peaks_under_450mb(tmp_path):
+    # a default n=2 `volume` keeps 401 samples.  Its peak RSS, read by the
+    # child itself, is 383-385 MiB while a sample holds 3 band fields and
+    # the identity pass drops each field after its last use; it was 550 MiB
+    # while a sample held omega's and phi's 5 (2 096 MiB while samples held
+    # their physical forms).  The bound is 450e6 bytes
+    path = tmp_path / "default-n2.json"
+    path.write_text(json.dumps({"dimension": 2}), encoding="utf-8")
+    script = ("import resource, sys; from plurisym.cli import main; code = main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+              "sys.exit(code)")
+    proc = run_python(["-c", script, "volume", "--config", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    peak_kib = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB on Linux
+    assert peak_kib * 1024 < 450e6
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------

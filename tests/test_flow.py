@@ -341,6 +341,18 @@ def test_record_peak_memory_above_the_live_state(traced_peak):
     assert grid_fields(grid, peak) < 15.4
 
 
+def test_record_margin_walks_its_minors_in_blocks(traced_peak):
+    # the eigenvalue range an n=3 N=8 record reads for its margin: the
+    # certified candidates' moduli and minors, walked over blocks of points,
+    # peak at 0.41 fields; over the whole grid at once they built about 6
+    # fields of temporaries (6.06)
+    grid = TorusGrid(3, 8)
+    st = step_rk4(grid, make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1), 1e-4)
+    margin, peak = traced_peak(lambda: st.metric.margin)
+    assert 0.0 < margin < 1.0
+    assert grid_fields(grid, peak) < 1.0
+
+
 @pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
 def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
     grid = TorusGrid(n, points)
@@ -523,7 +535,11 @@ def test_zero_steps_gives_single_sample(grid, hs_state):
 
 @pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
 def test_samples_hold_band_coefficients_and_build_the_states_forms_bitwise(n, points):
-    # each sample's forms against those of the same state stepped by hand
+    # each sample's forms against those of the same state stepped by hand.
+    # A sample holds the packed band fields its state's metric was
+    # transformed from, ceil(n/2) + n(n-1)/2 of them, and the state's phi
+    # coefficients: 3 band fields at n=2 and 8 at n=3, where omega's and
+    # phi's coefficients took 5 and 12
     grid = TorusGrid(n, points)
     start = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     result = run_flow(grid, start, FlowConfig(dt=1e-4, steps=4, sample_every=2,
@@ -537,27 +553,40 @@ def test_samples_hold_band_coefficients_and_build_the_states_forms_bitwise(n, po
         assert np.array_equal(sample.phi.coeffs, st.phi.coeffs)
         assert sample.omega.bidegree == (1, 1) and sample.phi.bidegree == (2, 0)
         held = [v for v in sample if isinstance(v, np.ndarray)]
-        assert len(held) == 2 and all(a.shape[2:] == grid.band_shape for a in held)
-    # a sample holds its state's arrays, not copies, and keeps no form it builds
+        assert [a.shape for a in held] == [
+            ((n + 1) // 2 + n * (n - 1) // 2,) + grid.band_shape,
+            (n * (n - 1) // 2, 1) + grid.band_shape]
+        assert sum(len(a.reshape(-1, *grid.band_shape)) for a in held) == {2: 3, 3: 8}[n]
+    # a sample shares its state's phi coefficients, holds the band step of
+    # its state's metric, and keeps no form it builds
     last = result.states[-1]
-    assert last.omega_hat is result.final.omega_hat and last.phi_hat is result.final.phi_hat
+    assert last.phi_hat is result.final.phi_hat
+    assert (last.packed.tobytes()
+            == grid.metric_pack(result.final.omega_hat).tobytes())
     assert not hasattr(last, "__dict__") and last.omega is not last.omega
 
 
 def test_collected_samples_keep_band_sized_memory():
     # 100 samples of an n=2 N=8 run: the result keeps about their band
-    # coefficients, 5 fields of 5^4 points each, and the final state.  The
-    # same bound fails for the list of the samples' physical forms (5 fields
-    # of 8^4 points each), which samples held before
+    # fields, 3 of 5^4 points each (the packed metric and phi), and the
+    # final state.  The same bound fails for the list of the samples'
+    # omega and phi coefficients (5 band fields each), which samples held
+    # before, and for the list of their physical forms (5 fields of 8^4
+    # points each), which they held before that
     grid = TorusGrid(2, 8)
     start = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     config = FlowConfig(dt=1e-4, steps=99, sample_every=1, collect_states=True)
     result, live = live_bytes(lambda: run_flow(grid, start, config))
     samples = len(result.states)
     assert samples == 100
-    band_bytes = samples * 5 * 16 * int(np.prod(grid.band_shape))
+    band_bytes = samples * 3 * 16 * int(np.prod(grid.band_shape))
     bound = 1.5 * band_bytes
     assert live < bound
+    five_fields, five_live = live_bytes(
+        lambda: [(s.t, np.empty((2, 2) + grid.band_shape, dtype=np.complex128),
+                  s.phi_hat.copy(), s.V, s.F) for s in result.states])
+    assert len(five_fields) == samples
+    assert five_live > bound
     physical, physical_live = live_bytes(
         lambda: [(s.t, s.omega, s.phi, s.V, s.F) for s in result.states])
     assert len(physical) == samples

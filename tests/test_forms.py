@@ -454,6 +454,31 @@ def test_certified_eig_range_of_a_nan_stack_is_nan(entry):
     assert math.isnan(lo) and math.isnan(hi)
 
 
+@pytest.mark.parametrize("block", [4096, None], ids=["block4096", "default"])
+@pytest.mark.parametrize("stack", ["stepped-N6", "stepped-N8", "random"])
+def test_certified_eig_range_walks_blocks_as_the_whole_payload(stack, block, monkeypatch):
+    # the n=3 moduli and minors walked over blocks of points, a short last
+    # block included, against the same route over the whole payload at once
+    if block:
+        monkeypatch.setattr(forms_mod, "_BLOCK", block)
+    if stack == "random":
+        g = blocked_stack(3)
+        g[:, :, -50] = rotated([0.5, 1.0, 1.5], seed=2)  # the minimum, in the short block
+        diag, upper = _hermitian_half(g)
+    else:
+        points = int(stack[-1])
+        grid = TorusGrid(3, points)
+        metric = step_rk4(grid, make_initial_hs(grid, mode_cutoff=1), 1e-4).metric
+        diag, upper = metric.diag, metric.upper
+    size = diag[0].size
+    assert size > forms_mod._BLOCK
+    got = _eig_range(diag, upper, 3)
+    monkeypatch.setattr(forms_mod, "_BLOCK", size)
+    assert got == _eig_range(diag, upper, 3)
+    if stack == "random":
+        assert got[0] == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize("spread", [0.5, 4.0])
 def test_n3_hermitian_closed_form_against_linalg(spread):
     rng = np.random.default_rng(37)

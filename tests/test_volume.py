@@ -268,6 +268,22 @@ def test_derivative_identities_on_short_run(grid2, short_trajectory):
     assert all(report[key]["unresolved"] == 0 for key in report)
 
 
+def test_identity_pass_drops_each_field_after_its_last_use(traced_peak):
+    # the pass's tracemalloc peak over its inputs on a short n=2 N=16 run
+    # (7 samples, 3 interior; a complex field is 1 MiB): 26.5 MiB when each
+    # interior sample drops the torsion, dbar omega, the metric and the
+    # curvature form after their last use, and 32.5 MiB when all of them
+    # lived to the end of the sample
+    grid = TorusGrid(2, 16)
+    state = make_initial_hs(grid, epsilon=0.05, seed=42, mode_cutoff=2)
+    result = run_flow(grid, state, FlowConfig(dt=1e-4, steps=6, sample_every=1,
+                                              collect_states=True))
+    report, peak = traced_peak(lambda: check_derivative_identities(grid, result.states))
+    assert sorted(report) == ["p_rate", "pairing_rate", "volume_rate"]
+    assert all(report[key]["max_rel_error"] < 1e-5 for key in report)
+    assert peak / 2 ** 20 < 29.5
+
+
 def test_derivative_identities_preconditions(grid2, short_trajectory):
     with pytest.raises(ValueError, match="at least 7"):
         check_derivative_identities(grid2, short_trajectory.states[:6])
