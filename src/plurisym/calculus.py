@@ -177,9 +177,13 @@ class TorusGrid:
         """Unnormalized DFT of a field (trailing grid axes), as numpy's fftn."""
         return self._per_axis(self._fwd, arr, self.shape)
 
-    def ifft(self, arr: np.ndarray) -> np.ndarray:
-        """Inverse DFT, with its 1/points per axis, as numpy's ifftn."""
-        return self._per_axis(self._inv, arr, self.shape)
+    def ifft(self, arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Inverse DFT, with its 1/points per axis, as numpy's ifftn.
+
+        ``out`` is as for ``from_band``, and may be ``arr`` itself: the
+        field is then transformed in place.
+        """
+        return self._per_axis(self._inv, arr, self.shape, out)
 
     def to_band(self, arr: np.ndarray) -> np.ndarray:
         """Fourier coefficients of a field (trailing grid axes) on the resolved band."""
@@ -205,7 +209,8 @@ class TorusGrid:
         result's shape), else a new array.  Only the 2n - 1 intermediate
         products are allocated: smaller than a grid field between the grid
         and the band, the size of one on the full grid.  Leading component
-        axes are looped over.
+        axes are looped over, and a component is read only by its first
+        product, so on the full grid ``out`` may be ``arr`` itself.
         """
         lead = arr.shape[:arr.ndim - 2 * self.n]
         if out is None:
@@ -331,7 +336,8 @@ class TorusGrid:
 
         The field is transformed forward once, and only if some part has a
         degree within n; a part whose degree would exceed n is the empty zero
-        form.
+        form.  Each derivative's coefficients are transformed back in place,
+        so a part costs one array of its size.
         """
         self._check_field(a)
         n = self.n
@@ -344,7 +350,8 @@ class TorusGrid:
                 continue
             if hat is None:
                 hat = self.fft(a.coeffs)
-            parts.append(Form(n, p, q, self.ifft(self.derivative_hat(hat, a.p, a.q, anti))))
+            part = self.derivative_hat(hat, a.p, a.q, anti)
+            parts.append(Form(n, p, q, self.ifft(part, out=part)))
         return parts
 
     def del_form(self, a: Form) -> Form:
@@ -457,7 +464,9 @@ def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarr
     derivative are assembled explicitly and combined in quadrature.
     Diagnostic norms deliberately use the flat background pairing so they
     stay meaningful even when the evolving metric degenerates.  Derivatives
-    are multipliers and the norms come from Parseval.
+    are multipliers and the norms come from Parseval.  Each sum of two
+    derivatives is taken in place in one of them (IEEE addition commutes,
+    so the bits are those of a new sum).
     """
     d = grid.derivative_hat
     d_om = d(omega_hat, 1, 1, anti=False)
@@ -466,21 +475,27 @@ def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarr
     def flat_l2(chat: np.ndarray) -> float:
         if chat.size == 0:
             return 0.0
-        # Parseval: the grid mean of |f|^2 is sum |F|^2 / size^2
-        return float(np.sqrt(np.sum(chat.real ** 2 + chat.imag ** 2))) / size
+        # Parseval: the grid mean of |f|^2 is sum |F|^2 / size^2.  The
+        # squares go into one real array a component at a time, with the
+        # operations of chat.real ** 2 + chat.imag ** 2
+        sq = np.empty(chat.shape)
+        for idx in np.ndindex(*chat.shape[:2]):
+            np.square(chat[idx].real, out=sq[idx])
+            sq[idx] += np.square(chat[idx].imag)
+        return float(np.sqrt(np.sum(sq))) / size
 
     # del omega's last uses come first, so it is dropped before the (1,2)
     # derivatives are built
     pluriclosed = flat_l2(d(d_om, 2, 1, anti=True))
-    hs = flat_l2(d_om + d(phi_hat, 2, 0, anti=True))
+    d_om += d(phi_hat, 2, 0, anti=True)
+    hs = flat_l2(d_om)
     del d_om
     d_phi = flat_l2(d(phi_hat, 2, 0, anti=False))
-    closedness = (
-        d_phi ** 2
-        + hs ** 2
-        + flat_l2(d(omega_hat, 1, 1, anti=True) + d(phibar_hat, 0, 2, anti=False)) ** 2
-        + flat_l2(d(phibar_hat, 0, 2, anti=True)) ** 2
-    )
+    mixed = d(omega_hat, 1, 1, anti=True)
+    mixed += d(phibar_hat, 0, 2, anti=False)
+    closedness = d_phi ** 2 + hs ** 2 + flat_l2(mixed) ** 2
+    del mixed
+    closedness += flat_l2(d(phibar_hat, 0, 2, anti=True)) ** 2
     return {
         "d_omega": float(np.sqrt(closedness)),
         "hs_constraint": hs,

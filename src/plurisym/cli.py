@@ -388,8 +388,12 @@ def _reuse_freed_memory() -> None:
     its pages are faulted in afresh: an n=2 N=16 step took about 5 600 minor
     page faults and 33 ms, against 260 and 26 ms with both thresholds fixed
     where the rule ends (mmap at 32 MiB, trim at twice that).  Blocks above
-    32 MiB are still mapped and unmapped.  Other C libraries are left as
-    they are.
+    32 MiB are still mapped, faulted in and unmapped on each use: at n=3
+    N=8 a nine-component field such as del omega is 36 MiB, so the RK4 step
+    allocates its one (2,1) work array per step, not one per stage (an n=3
+    N=8 step after the first faulted 298 pages in with a fresh del omega and
+    dbar phi per stage, 40 with the work array).  Other C libraries are
+    left as they are.
     """
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt

@@ -21,9 +21,13 @@ coefficients of omega and phi and the metric of omega, whose Hermitian half
 grid fields it holds.  Its physical forms are computed from these on first
 read (omega from the metric block, phi by one band transform), so a stage or
 an unsampled step never builds them.  Everything else a stage's rate
-computes on the grid (log det, del omega, dbar phi, the two traces) is built
-while the rate runs and dropped when it returns, del omega before dbar phi
-is built, so a state carries no work fields and the grid holds none either.
+computes on the grid (log det, the two traces) is built while the rate runs
+and dropped when it returns, so a state carries no work fields and the grid
+holds none either.  Del omega and then dbar phi are written into one (2,1)
+work array that the step allocates once and drops when it returns, so no
+stage maps a (2,1)-field of its own and faults its pages in afresh (one is
+36 MiB at n=3 N=8, above the 32 MiB mmap threshold that the command line
+fixes).
 No grid-sized inverse metric or full metric block exists: the traces and a
 record's V and F walk the points in blocks, building each block of the
 inverse from the half and det.
@@ -54,6 +58,7 @@ from .errors import ConstraintViolationError, PositivityLostError
 from .forms import (
     Form,
     HermitianMetric,
+    _basis_dim,
     _blocks,
     _hermitian_block,
     inner_product,
@@ -274,19 +279,22 @@ def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
     return FlowState(t, omega_hat, phi_hat, metric, grid)
 
 
-def _stage_rate(grid: TorusGrid, st: FlowState):
+def _stage_rate(grid: TorusGrid, st: FlowState, work: np.ndarray):
     """Band velocities of a stage, omega's then phi's.
 
-    Del omega is built, traced by ``_omega_velocity`` and dropped before
-    dbar phi is built, so the two (2,1)-fields never live at once.  Each
-    trace builds the inverse metric block by block from the metric's half
-    and det (``metric_trace``), so no grid-sized inverse is built.
+    ``work`` is a C-contiguous complex grid array in the (2,1) shape.  Del
+    omega is transformed into it and traced by ``_omega_velocity``, then
+    dbar phi is transformed into it over del omega, so the two (2,1)-fields
+    never live at once and the rate allocates neither.  Each trace builds
+    the inverse metric block by block from the metric's half and det
+    (``metric_trace``), so no grid-sized inverse is built.
     """
     omega_vel = _omega_velocity(
         grid, st.metric,
-        lambda: grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False)))
+        lambda: grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False), out=work))
     phi_vel = _phi_velocity(
-        grid, st.metric, grid.from_band(grid.derivative_hat(st.phi_hat, 2, 0, anti=True)))
+        grid, st.metric,
+        grid.from_band(grid.derivative_hat(st.phi_hat, 2, 0, anti=True), out=work))
     return omega_vel, phi_vel
 
 
@@ -298,16 +306,22 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     PositivityLostError and leaves the caller holding the last valid state.
     The last stage is the returned state, and the first stage of the next
     step.  A stage keeps no grid field but its metric's half and det; the
-    fields a rate builds are dropped when it returns.
+    fields a rate builds are dropped when it returns.  The four rates share
+    one (2,1) work array for del omega and dbar phi, allocated here and
+    dropped on return.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     t, w0, p0 = state.t, state.omega_hat, state.phi_hat
     half = 0.5 * dt
-    kw1, kp1 = _stage_rate(grid, state)
-    kw2, kp2 = _stage_rate(grid, _band_stage(grid, t + half, w0 + half * kw1, p0 + half * kp1))
-    kw3, kp3 = _stage_rate(grid, _band_stage(grid, t + half, w0 + half * kw2, p0 + half * kp2))
-    kw4, kp4 = _stage_rate(grid, _band_stage(grid, t + dt, w0 + dt * kw3, p0 + dt * kp3))
+    work = np.empty((_basis_dim(grid.n, 2), _basis_dim(grid.n, 1)) + grid.shape,
+                    dtype=np.complex128)
+    kw1, kp1 = _stage_rate(grid, state, work)
+    kw2, kp2 = _stage_rate(grid, _band_stage(grid, t + half, w0 + half * kw1, p0 + half * kp1),
+                           work)
+    kw3, kp3 = _stage_rate(grid, _band_stage(grid, t + half, w0 + half * kw2, p0 + half * kp2),
+                           work)
+    kw4, kp4 = _stage_rate(grid, _band_stage(grid, t + dt, w0 + dt * kw3, p0 + dt * kp3), work)
     sixth = dt / 6.0
     return _band_stage(grid, t + dt, w0 + sixth * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4),
                        p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4))

@@ -1,6 +1,10 @@
 """Shared fixtures."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,5 +67,41 @@ def traced_peak():
         finally:
             if started:
                 tracemalloc.stop()
+
+    return measure
+
+
+@pytest.fixture
+def minor_faults():
+    """Count the pages some statements fault in, in a fresh child process.
+
+    ``minor_faults(setup, *statements)`` runs ``setup`` and then each
+    statement in turn in a Python that imports plurisym from this source
+    tree under the malloc thresholds that ``plurisym.cli.main`` fixes, and
+    returns the minor page faults (``ru_minflt``) of each statement.  The
+    child starts with no other test's heap, so the counts do not depend on
+    what ran before.
+    """
+    def measure(setup, *statements):
+        script = "\n".join([
+            "import resource",
+            "from plurisym.cli import _reuse_freed_memory",
+            "_reuse_freed_memory()",
+            setup,
+            f"_code = [compile(s, '<statement>', 'exec') for s in {list(statements)!r}]",
+            "_faults = []",
+            "for _c in _code:",
+            "    _before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "    exec(_c)",
+            "    _faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - _before)",
+            "print(*_faults)",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        return [int(word) for word in proc.stdout.split()]
 
     return measure

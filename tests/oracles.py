@@ -361,3 +361,67 @@ def oracle_obstructed(a0, a1, a2, span=1100.0, points=4096):
     vals = a0 + a1 * ts + a2 * ts * ts
     tol = 1e-9 * max(abs(a0), abs(a1), abs(a2), 1.0)
     return bool(np.min(vals) <= tol)
+
+
+# ----------------------------------------------------------------------
+# routes that allocate every field afresh
+# ----------------------------------------------------------------------
+# Stage rates, derivatives and residual norms once built each field in a new
+# array: every inverse transform, sum of derivatives and square.  The
+# package now works in arrays that already exist, with the same operations
+# in the same order, and must give these routes' bits.
+
+def oracle_stage_rate(grid, st, work=None):
+    """``flow._stage_rate`` with del omega and dbar phi each transformed into a new array.
+
+    ``work`` is accepted and left untouched, so this stands in for the
+    package's rate inside ``step_rk4``.
+    """
+    from plurisym.flow import _omega_velocity, _phi_velocity
+
+    omega_vel = _omega_velocity(
+        grid, st.metric,
+        lambda: grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False)))
+    phi_vel = _phi_velocity(
+        grid, st.metric, grid.from_band(grid.derivative_hat(st.phi_hat, 2, 0, anti=True)))
+    return omega_vel, phi_vel
+
+
+def oracle_derivatives(grid, a: Form):
+    """(del a, dbar a), each derivative's coefficients transformed back into a new array."""
+    hat = grid.fft(a.coeffs)
+    parts = []
+    for p, q, anti in ((a.p + 1, a.q, False), (a.p, a.q + 1, True)):
+        if max(p, q) > a.n:
+            parts.append(Form.zeros(a.n, p, q, grid.shape))
+        else:
+            parts.append(Form(a.n, p, q, grid.ifft(grid.derivative_hat(hat, a.p, a.q, anti))))
+    return tuple(parts)
+
+
+def oracle_residual_norms_hat(grid, omega_hat, phi_hat, phibar_hat) -> dict:
+    """``calculus.residual_norms_hat`` with each sum and each square in a new array."""
+    d = grid.derivative_hat
+    size = grid.points ** (2 * grid.n)
+
+    def flat_l2(chat):
+        if chat.size == 0:
+            return 0.0
+        return float(np.sqrt(np.sum(chat.real ** 2 + chat.imag ** 2))) / size
+
+    d_om = d(omega_hat, 1, 1, anti=False)
+    pluriclosed = flat_l2(d(d_om, 2, 1, anti=True))
+    hs = flat_l2(d_om + d(phi_hat, 2, 0, anti=True))
+    d_phi = flat_l2(d(phi_hat, 2, 0, anti=False))
+    closedness = (
+        d_phi ** 2
+        + hs ** 2
+        + flat_l2(d(omega_hat, 1, 1, anti=True) + d(phibar_hat, 0, 2, anti=False)) ** 2
+        + flat_l2(d(phibar_hat, 0, 2, anti=True)) ** 2
+    )
+    return {
+        "d_omega": float(np.sqrt(closedness)),
+        "hs_constraint": hs,
+        "del_phi": d_phi,
+        "pluriclosed": pluriclosed,
+    }

@@ -95,20 +95,13 @@ def run_python(args, **env_overrides):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
-def test_freed_blocks_are_reused_not_faulted_in_again():
+def test_freed_blocks_are_reused_not_faulted_in_again(minor_faults):
     # the thresholds the CLI sets keep a freed 8 MiB block on the heap, so
     # filling a second one faults no page in; with glibc's dynamic rule the
     # second fill faults about 480
-    script = ("import resource, numpy as np; from plurisym.cli import _reuse_freed_memory\n"
-              "_reuse_freed_memory()\n"
-              "def fill():\n"
-              "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-              "    np.ones(1 << 20)\n"
-              "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
-              "print(fill(), fill())")
-    proc = run_python(["-c", script])
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[1]) <= 16
+    fill = "np.ones(1 << 20)"
+    _, second = minor_faults("import numpy as np", fill, fill)
+    assert second <= 16
 
 
 @pytest.mark.parametrize("command, overrides", [

@@ -1,5 +1,6 @@
 """Tests for right-hand sides, the RK4 stepper, initial data, and run_flow."""
 
+import platform
 import re
 import tracemalloc
 
@@ -38,6 +39,7 @@ from oracles import (
     oracle_band_conjugate,
     oracle_ddbar_band,
     oracle_hermitian_from_band,
+    oracle_stage_rate,
 )
 
 
@@ -380,6 +382,63 @@ def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
         assert list(vars(stage.metric)) == ["n", "diag", "upper", "det"]
         assert (stage.metric.diag.shape[1:] == stage.metric.upper.shape[1:]
                 == stage.metric.det.shape == grid.shape)
+
+
+@pytest.mark.parametrize("n, points", [(2, 8), (2, 17), (3, 4), (3, 6)])
+def test_step_work_array_matches_fresh_stage_fields_bitwise(n, points, monkeypatch):
+    # rates that write del omega and dbar phi into the step's work array
+    # step the flow as rates that transform each into a new array
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    mine = step_rk4(grid, st, 1e-4)
+    monkeypatch.setattr(flow_mod, "_stage_rate", oracle_stage_rate)
+    theirs = step_rk4(grid, st, 1e-4)
+    for name in ("omega_hat", "phi_hat"):
+        assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
+    for name in ("diag", "upper", "det"):
+        assert np.array_equal(getattr(mine.metric, name), getattr(theirs.metric, name)), name
+
+
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
+def test_step_writes_its_2_1_fields_into_one_work_array(n, points, monkeypatch):
+    # del omega and dbar phi of the four stages: 8 transforms of (2,1) band
+    # coefficients, all into one array
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    lead = Form.zeros(n, 2, 1).coeffs.shape
+    outs = []
+    real = TorusGrid.from_band
+
+    def from_band(self, band, out=None):
+        if band.shape[:band.ndim - 2 * n] == lead:
+            outs.append(out)
+        return real(self, band, out)
+
+    monkeypatch.setattr(TorusGrid, "from_band", from_band)
+    step_rk4(grid, st, 1e-4)
+    assert len(outs) == 8
+    assert outs[0] is not None and all(out is outs[0] for out in outs)
+    assert outs[0].shape == lead + grid.shape
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_a_step_maps_no_fresh_2_1_field_per_stage(minor_faults):
+    # an n=3 N=8 (2,1)-field is 36 MiB, above the 32 MiB mmap threshold the
+    # CLI fixes, so each one a step allocates is mapped and faulted in
+    # afresh.  Rates that transformed del omega and dbar phi into new arrays
+    # faulted 8 such fields per step (298 pages with numpy's huge pages,
+    # 73 793 without), one work array per step 1 (40 and 9 232); one fresh
+    # field faults 19 and 9 217.  The first step is left out: it grows the
+    # heap
+    setup = ("import numpy as np\n"
+             "from plurisym.calculus import TorusGrid\n"
+             "from plurisym.flow import make_initial_hs, step_rk4\n"
+             "grid = TorusGrid(3, 8)\n"
+             "st = make_initial_hs(grid)")
+    step = "st = step_rk4(grid, st, 1e-4)"
+    field, _, second = minor_faults(setup, "np.ones((3, 3) + grid.shape, dtype=complex)",
+                                    step, step)
+    assert second < 4 * field
 
 
 @pytest.mark.parametrize("n, points, cutoff", [(2, 8, 2), (2, 16, 2), (3, 4, 1), (3, 6, 2)])
