@@ -390,10 +390,12 @@ def _reuse_freed_memory() -> None:
     where the rule ends (mmap at 32 MiB, trim at twice that).  Blocks above
     32 MiB are still mapped, faulted in and unmapped on each use: at n=3
     N=8 a nine-component field such as del omega is 36 MiB, so the RK4 step
-    allocates its one (2,1) work array per step, not one per stage (an n=3
+    never builds del omega or dbar phi on the grid, but traces them one
+    scalar component at a time through one grid buffer per step (an n=3
     N=8 step after the first faulted 298 pages in with a fresh del omega and
-    dbar phi per stage, 40 with the work array).  Other C libraries are
-    left as they are.
+    dbar phi per stage, 40 with one (2,1) work array per step, and 2 on
+    most steps with the scalar buffer).  Other C libraries are left as they
+    are.
     """
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt

@@ -15,22 +15,24 @@ metric blocks, del omega, dbar phi) go to physical space and back (the two
 metric traces and log det).  Positivity of the metric is checked at each
 stage and aborts the run; nothing is regularized.
 
-A state and an RK4 stage are the same thing, a ``FlowState``: band
-coefficients of omega and phi and the metric of omega, whose Hermitian half
-(the real diagonal and upper triangle of g) and determinant are the only
-grid fields it holds.  Its physical forms are computed from these on first
-read (omega from the metric block, phi by one band transform), so a stage or
-an unsampled step never builds them.  Everything else a stage's rate
-computes on the grid (log det, the two traces) is built while the rate runs
-and dropped when it returns, so a state carries no work fields and the grid
-holds none either.  Del omega and then dbar phi are written into one (2,1)
-work array that the step allocates once and drops when it returns, so no
-stage maps a (2,1)-field of its own and faults its pages in afresh (one is
-36 MiB at n=3 N=8, above the 32 MiB mmap threshold that the command line
-fixes).
-No grid-sized inverse metric or full metric block exists: the traces and a
-record's V and F walk the points in blocks, building each block of the
-inverse from the half and det.
+A state is a ``FlowState``: band coefficients of omega and phi and the
+metric of omega, whose Hermitian half (the real diagonal and upper triangle
+of g) and determinant are the only grid fields it holds.  Its physical forms
+are computed from these on first read (omega from the metric block, phi by
+one band transform), so an unsampled step never builds them.  An RK4 stage
+is less: its band coefficients, det and the Hermitian half of its inverse
+metric, which both of its traces read.  Stages 2-4 build and check their
+metric as a state's is built, then build the inverse half and drop g's half
+before their rate runs; the first stage builds an inverse half of the
+state's metric and drops it when its rate returns.  Everything else a rate
+computes on the grid (log det, the two traces) is built while it runs and
+dropped when it returns, so the grid holds no work field.  Del omega and
+dbar phi never exist on the grid: each of their components is transformed
+from the band into one complex scalar grid buffer, which the step allocates
+once, and traced before the next component is transformed over it.  No
+grid-sized full metric block or inverse block exists: a record's V and F
+walk the points in blocks, building each block of g and of the inverse from
+the half and det.
 
 Every state lives on the band: the initial data are built there, and
 ``FlowState.make`` takes physical fields there once, refusing a field with
@@ -43,7 +45,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, NamedTuple
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,9 +60,9 @@ from .errors import ConstraintViolationError, PositivityLostError
 from .forms import (
     Form,
     HermitianMetric,
-    _basis_dim,
     _blocks,
     _hermitian_block,
+    _inverse_entries,
     inner_product,
     metric_of_form,
     metric_trace,
@@ -90,14 +92,14 @@ _OUT_OF_BAND_TOL = 1e-12
 
 @dataclass(eq=False, repr=False)
 class FlowState:
-    """Flow state at one instant, and an RK4 stage: band coefficients and the metric.
+    """Flow state at one instant: band coefficients and the metric.
 
     ``omega_hat`` and ``phi_hat`` are the band coefficients of omega and phi,
     and ``metric`` is the metric of omega; its Hermitian half and det are
     the only grid-sized arrays a state holds.  The physical forms ``omega``
     and ``phi`` are computed from these on first read and kept; treat them
-    as read-only.  Stages of a step are states that nothing reads, so they
-    never build them, and a record builds neither.
+    as read-only.  A step reads neither of its state's forms nor builds its
+    own, and a record builds neither.
     """
 
     t: float
@@ -209,45 +211,45 @@ class FlowResult:
 # right-hand sides
 # ----------------------------------------------------------------------
 
-def _omega_velocity(grid: TorusGrid, metric: HermitianMetric,
-                    del_omega: Callable[[], np.ndarray]) -> np.ndarray:
-    """Band coefficients of the omega velocity; ``del_omega()`` builds the physical del(omega).
+def _omega_velocity(grid: TorusGrid, det: np.ndarray,
+                    traced_del_omega: Callable[[], np.ndarray]) -> np.ndarray:
+    """Band coefficients of the omega velocity; ``traced_del_omega()`` traces del(omega).
 
     C + conj(C) with C = dbar of the metric trace of del(omega) plus half
-    the curvature form; that trace is the dbar-codifferential of omega
-    (agreement with the star-composition route, codifferential_dbar, is
-    pinned in the tests).  Keeping only band coefficients is the dealiasing
-    projector.  log det goes to the band before del(omega) is built, which
-    lives only while it is traced.
+    the curvature form, with ``det`` the metric's determinant;
+    ``traced_del_omega()`` returns the grid coefficients of that (1,0)
+    trace, the dbar-codifferential of omega (agreement with the
+    star-composition route, codifferential_dbar, is pinned in the tests).
+    Keeping only band coefficients is the dealiasing projector.  log det
+    goes to the band before the trace is taken, so del(omega) never lives
+    beside the grid-sized log det.
     """
-    log_det_hat = grid.to_band(np.log(metric.det))
-    a = metric_trace(Form(grid.n, 2, 1, del_omega()), metric)  # (1,0)
-    c_hat = grid.derivative_hat(grid.to_band(a.coeffs), 1, 0, anti=True)
+    log_det_hat = grid.to_band(np.log(det))
+    c_hat = grid.derivative_hat(grid.to_band(traced_del_omega()), 1, 0, anti=True)
     c_hat += 0.5 * grid.ddbar_hat(log_det_hat)
     return c_hat + grid.band_conjugate(c_hat, 1, 1)
 
 
-def _phi_velocity(grid: TorusGrid, metric: HermitianMetric,
-                  dbar_phi: np.ndarray) -> np.ndarray:
+def _phi_velocity(grid: TorusGrid, traced_dbar_phi: np.ndarray) -> np.ndarray:
     """Band coefficients of the phi velocity: minus del of the metric trace of dbar(phi)."""
-    b = metric_trace(Form(grid.n, 2, 1, dbar_phi), metric)  # (1,0)
-    return -grid.derivative_hat(grid.to_band(b.coeffs), 1, 0, anti=False)
+    return -grid.derivative_hat(grid.to_band(traced_dbar_phi), 1, 0, anti=False)
 
 
 def pluriclosed_rhs(grid: TorusGrid, omega: Form, metric: HermitianMetric) -> Form:
     """Velocity of omega in its metric: both codifferential blocks plus the curvature form.
 
-    Evaluated by the integrator's own route (``_omega_velocity``) and
-    brought back through the Hermitian block transform, so the result is
-    self-conjugate to the last bit.
+    The integrator's velocity (``_omega_velocity``) of the physical del(omega),
+    traced by ``metric_trace``, brought back through the Hermitian block
+    transform, so the result is self-conjugate to the last bit.
     """
-    vel = _omega_velocity(grid, metric, lambda: grid.del_form(omega).coeffs)
+    vel = _omega_velocity(grid, metric.det,
+                          lambda: metric_trace(grid.del_form(omega), metric).coeffs)
     return Form(grid.n, 1, 1, 1j * _hermitian_block(*_metric_half(grid, vel)))
 
 
 def phi_rhs(grid: TorusGrid, phi: Form, metric: HermitianMetric) -> Form:
     """Velocity of phi: minus the holomorphic derivative of the traced dbar(phi)."""
-    vel = _phi_velocity(grid, metric, grid.dbar_form(phi).coeffs)
+    vel = _phi_velocity(grid, metric_trace(grid.dbar_form(phi), metric).coeffs)
     return Form(grid.n, 2, 0, grid.from_band(vel))
 
 
@@ -272,29 +274,66 @@ def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
     ``_metric_half`` builds the Hermitian half of g, which the metric
     keeps as it is (``HermitianMetric.from_half``): no full block, no
     Hermiticity scan and no copy.  Positivity is always enforced.  The
-    metric's half and det are the only grid fields a state keeps;
-    ``_stage_rate`` builds the rest.
+    metric's half and det are the only grid fields a state keeps.
     """
     metric = HermitianMetric.from_half(*_metric_half(grid, omega_hat))
     return FlowState(t, omega_hat, phi_hat, metric, grid)
 
 
-def _stage_rate(grid: TorusGrid, st: FlowState, work: np.ndarray):
-    """Band velocities of a stage, omega's then phi's.
+def _stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
+           metric: Optional[HermitianMetric] = None):
+    """The rate inputs of an RK4 stage: ``(omega_hat, phi_hat, inverse, det)``.
 
-    ``work`` is a C-contiguous complex grid array in the (2,1) shape.  Del
-    omega is transformed into it and traced by ``_omega_velocity``, then
-    dbar phi is transformed into it over del omega, so the two (2,1)-fields
-    never live at once and the rate allocates neither.  Each trace builds
-    the inverse metric block by block from the metric's half and det
-    (``metric_trace``), so no grid-sized inverse is built.
+    ``inverse`` is the Hermitian half of the inverse of the stage's metric
+    (``_inverse_entries``), and det the metric's determinant.  Without
+    ``metric`` (stages 2-4) the metric of ``omega_hat`` is built and
+    checked as a state's is (``HermitianMetric.from_half``, positivity
+    enforced), and only its det outlives this call: g's half is dropped
+    before the rate runs.  The first stage passes the state's metric, which
+    the state keeps; its inverse half lives only while the rate runs.
     """
+    if metric is None:
+        metric = HermitianMetric.from_half(*_metric_half(grid, omega_hat))
+    inverse = _inverse_entries(metric.diag, metric.upper, metric.det, grid.n)
+    return omega_hat, phi_hat, inverse, metric.det
+
+
+class _BandComponents:
+    """Grid coefficients of a form given by band coefficients, built one component at a time.
+
+    The coefficients ``metric_trace`` reads of an RK4 stage's (2,1)-field.
+    Indexing by a component ``(i, j)`` transforms that component from the
+    band into ``buffer``, a C-contiguous complex scalar grid array, and
+    returns it, over the component read before.  ``metric_trace`` reads
+    each component once and traces it before it reads the next, so the
+    field is traced with no grid array of its own.
+    """
+
+    def __init__(self, grid: TorusGrid, hat: np.ndarray, buffer: np.ndarray):
+        self.shape = hat.shape[:2] + grid.shape
+        self._grid, self._hat, self._buffer = grid, hat, buffer
+
+    def __getitem__(self, component) -> np.ndarray:
+        return self._grid.from_band(self._hat[component], out=self._buffer)
+
+
+def _stage_rate(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray, inverse,
+                det: np.ndarray, buffer: np.ndarray):
+    """Band velocities of a stage, omega's then phi's, from ``_stage``'s rate inputs.
+
+    Del omega and then dbar phi are built as band coefficients and traced
+    by ``metric_trace`` one component at a time through ``buffer``, a
+    C-contiguous complex scalar grid array (``_BandComponents``), so no
+    (2,1)-field is built on the grid.  Both traces read the one inverse
+    half of the stage.
+    """
+    def traced(hat):
+        return metric_trace(Form(grid.n, 2, 1, _BandComponents(grid, hat, buffer)),
+                            inverse).coeffs
+
     omega_vel = _omega_velocity(
-        grid, st.metric,
-        lambda: grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False), out=work))
-    phi_vel = _phi_velocity(
-        grid, st.metric,
-        grid.from_band(grid.derivative_hat(st.phi_hat, 2, 0, anti=True), out=work))
+        grid, det, lambda: traced(grid.derivative_hat(omega_hat, 1, 1, anti=False)))
+    phi_vel = _phi_velocity(grid, traced(grid.derivative_hat(phi_hat, 2, 0, anti=True)))
     return omega_vel, phi_vel
 
 
@@ -305,23 +344,21 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     (Sylvester's criterion, no eigenvalues); a failure raises
     PositivityLostError and leaves the caller holding the last valid state.
     The last stage is the returned state, and the first stage of the next
-    step.  A stage keeps no grid field but its metric's half and det; the
-    fields a rate builds are dropped when it returns.  The four rates share
-    one (2,1) work array for del omega and dbar phi, allocated here and
-    dropped on return.
+    step.  Each stage builds one inverse half of its metric, read by both
+    of its traces (``_stage``); stages 2-4 keep only det of their metrics,
+    and every field a rate builds is dropped when it returns.  The four
+    rates share one complex scalar grid buffer, allocated here and dropped
+    on return, through which every (2,1) component is traced.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     t, w0, p0 = state.t, state.omega_hat, state.phi_hat
     half = 0.5 * dt
-    work = np.empty((_basis_dim(grid.n, 2), _basis_dim(grid.n, 1)) + grid.shape,
-                    dtype=np.complex128)
-    kw1, kp1 = _stage_rate(grid, state, work)
-    kw2, kp2 = _stage_rate(grid, _band_stage(grid, t + half, w0 + half * kw1, p0 + half * kp1),
-                           work)
-    kw3, kp3 = _stage_rate(grid, _band_stage(grid, t + half, w0 + half * kw2, p0 + half * kp2),
-                           work)
-    kw4, kp4 = _stage_rate(grid, _band_stage(grid, t + dt, w0 + dt * kw3, p0 + dt * kp3), work)
+    buffer = np.empty(grid.shape, dtype=np.complex128)
+    kw1, kp1 = _stage_rate(grid, *_stage(grid, w0, p0, state.metric), buffer)
+    kw2, kp2 = _stage_rate(grid, *_stage(grid, w0 + half * kw1, p0 + half * kp1), buffer)
+    kw3, kp3 = _stage_rate(grid, *_stage(grid, w0 + half * kw2, p0 + half * kp2), buffer)
+    kw4, kp4 = _stage_rate(grid, *_stage(grid, w0 + dt * kw3, p0 + dt * kp3), buffer)
     sixth = dt / 6.0
     return _band_stage(grid, t + dt, w0 + sixth * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4),
                        p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from typing import Optional, Tuple
 
 import numpy as np
@@ -284,14 +284,15 @@ def form_power(a: Form, k: int, payload: Tuple[int, ...] = ()) -> Form:
 # ======================================================================
 
 # payload points per block of the metric kernels: the positivity check, the
-# traces with their inverse built per block, and a record's V and F.  A block
-# of one complex entry takes 256 KiB.  Measured on a 2-core Xeon (numpy
-# 2.4.6, best of 40), a trace of a (2,1)-field with its inverse built per
-# block took 23.3, 19.3, 19.0 and 19.1 ms at n=3 N=8 in blocks of 2048, 4096,
-# 8192 and 16384 points (1.28, 1.09, 1.01 and 1.04 ms at n=2 N=16), and the
-# positivity check, whose cost per block is mostly numpy's per-call overhead,
-# 8.3, 6.1 and 6.2 ms at n=3 N=8 in blocks of 4096, 8192 and 16384 (0.78,
-# 0.57 and 0.59 ms at n=2 N=16)
+# inverse half, the traces that read it, and a record's V and F.  A block of
+# one complex entry takes 256 KiB.  Measured on a 2-core Xeon (numpy 2.4.6,
+# best of 40), in blocks of 2048, 4096, 8192 and 16384 points the inverse
+# half took 12.7, 10.9, 11.1 and 11.1 ms at n=3 N=8 (0.59, 0.48, 0.42 and
+# 0.45 ms at n=2 N=16), and a trace of a (2,1)-field reading it 21.6, 18.0,
+# 15.5 and 16.0 ms (0.98, 0.80, 0.72 and 0.71 ms); the positivity check,
+# whose cost per block is mostly numpy's per-call overhead, took 8.3, 6.1
+# and 6.2 ms at n=3 N=8 in blocks of 4096, 8192 and 16384 (0.78, 0.57 and
+# 0.59 ms at n=2 N=16)
 _BLOCK = 16384
 
 
@@ -402,52 +403,68 @@ def _positive_det(diag: np.ndarray, upper: np.ndarray, n: int):
 def _inverse(diag: np.ndarray, upper: np.ndarray, det, n: int) -> np.ndarray:
     """Inverse (n, n, *payload) block of a positive definite Hermitian half, from its det.
 
-    The closed forms for n = 2 and 3 read the half's real diagonal and
-    upper triangle and ``1 / det``; the lower triangle of the inverse is the
-    conjugate of its upper one.  Beyond that, ``np.linalg.inv`` of the
-    assembled stack.  Each product of two complex arrays names its operands
-    in one fixed order, ``np.conj(y) * x``: numpy multiplies a temporary of
-    256 KiB or more in place, in that order, and complex products are not
-    bitwise commutative, so a fixed order makes a block of points round like
-    the whole payload at any size.
-    """
-    entries = _inverse_entries(diag, upper, det, n)
-    ginv = np.empty((n, n) + diag.shape[1:], dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            ginv[i, j] = entries[i][j]
-    return ginv
-
-
-def _inverse_entries(diag: np.ndarray, upper: np.ndarray, det, n: int):
-    """``_inverse`` as rows of entries, ``[i][j]``; for n = 2 and 3 the diagonal is real.
-
-    The kernels that walk blocks of points multiply these entries as they
-    are: a real entry enters a complex product as the complex number numpy
-    casts it to, so no packed copy is needed.
+    For n = 2 and 3, the block of the inverse's half (``_inverse_entries``):
+    its lower triangle is the conjugate of its upper one.  Beyond that,
+    ``np.linalg.inv`` of the assembled stack.
     """
     if n > 3:
         stacked = np.moveaxis(_hermitian_block(diag, upper), (0, 1), (-2, -1))
         return np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
+    return _hermitian_block(*_inverse_entries(diag, upper, det, n))
+
+
+def _inverse_entries(diag: np.ndarray, upper: np.ndarray, det, n: int):
+    """The Hermitian half of the inverse of a positive definite half, from its det; n = 2, 3.
+
+    ``(diag, upper)`` of the inverse, laid out as ``HermitianMetric`` keeps
+    g's: the real diagonal, (n, *payload) float64, and the strict upper
+    triangle, (n(n-1)/2, *payload) complex128; the lower triangle is the
+    conjugate of the upper one.  The closed forms (``_inverse_block``) run
+    over blocks of ``_BLOCK`` points (``_blocks``), so their temporaries are
+    block-sized and the half is the only payload-sized array built.  Each
+    point sees the same operations at any block size.  A single point
+    (payload ``()``) is computed as it is: numpy's complex scalar product
+    rounds differently from its array loops.
+    """
+    inv_diag = np.empty(diag.shape)
+    inv_upper = np.empty(upper.shape, dtype=np.complex128)
+    if diag.ndim == 1:
+        _inverse_block(diag, upper, det, n, inv_diag, inv_upper)
+        return inv_diag, inv_upper
+    flat_diag, flat_upper = diag.reshape(n, -1), upper.reshape(len(upper), -1)
+    out_diag, out_upper = inv_diag.reshape(n, -1), inv_upper.reshape(len(upper), -1)
+    flat_det = np.reshape(det, -1)
+    for blk in _blocks(flat_det.size):
+        _inverse_block(flat_diag[:, blk], flat_upper[:, blk], flat_det[blk], n,
+                       out_diag[:, blk], out_upper[:, blk])
+    return inv_diag, inv_upper
+
+
+def _inverse_block(diag, upper, det, n: int, inv_diag, inv_upper):
+    """Write the closed-form inverse half of one block of points into ``inv_diag``, ``inv_upper``.
+
+    The closed forms read the half's real diagonal and upper triangle and
+    ``1 / det``.  Each product of two complex arrays names its operands in
+    one fixed order, ``np.conj(y) * x``: numpy multiplies a temporary of 256
+    KiB or more in place, in that order, and complex products are not
+    bitwise commutative, so a fixed order makes a block of points round like
+    the whole payload at any size.
+    """
     inv_det = 1.0 / det
-    rows = [[None] * n for _ in range(n)]
     if n == 2:
-        rows[0][0], rows[1][1] = diag[1] * inv_det, diag[0] * inv_det
-        rows[0][1] = _negated(upper[0]) * inv_det
-    else:
-        # the diagonal's cofactors are those of _positive_det
-        d0, d1, d2 = diag[0], diag[1], diag[2]
-        u01, u02, u12 = upper[0], upper[1], upper[2]
-        n01, n02, n12 = _moduli(u01, u02, u12)
-        rows[0][0] = (d1 * d2 - n12) * inv_det
-        rows[1][1] = (d0 * d2 - n02) * inv_det
-        rows[2][2] = (d0 * d1 - n01) * inv_det
-        rows[0][1] = (np.conj(u12) * u02 - u01 * d2) * inv_det
-        rows[0][2] = (u01 * u12 - u02 * d1) * inv_det
-        rows[1][2] = (np.conj(u01) * u02 - d0 * u12) * inv_det
-    for i, j in combinations(range(n), 2):
-        rows[j][i] = np.conj(rows[i][j])
-    return rows
+        inv_diag[0], inv_diag[1] = diag[1] * inv_det, diag[0] * inv_det
+        inv_upper[0] = _negated(upper[0]) * inv_det
+        return
+    # the diagonal's cofactors are those of _positive_det
+    d0, d1, d2 = diag[0], diag[1], diag[2]
+    u01, u02, u12 = upper[0], upper[1], upper[2]
+    n01, n02, n12 = _moduli(u01, u02, u12)
+    inv_diag[0] = (d1 * d2 - n12) * inv_det
+    inv_diag[1] = (d0 * d2 - n02) * inv_det
+    inv_diag[2] = (d0 * d1 - n01) * inv_det
+    inv_upper[0] = (np.conj(u12) * u02 - u01 * d2) * inv_det
+    inv_upper[1] = (u01 * u12 - u02 * d1) * inv_det
+    inv_upper[2] = (np.conj(u01) * u02 - d0 * u12) * inv_det
 
 
 def _negated(z):
@@ -614,10 +631,13 @@ class HermitianMetric:
     half of the full complex block.  ``g`` builds the full block on each
     read and does not keep it.  The inverse ``ginv`` and the eigenvalue
     range (``margin``, ``max_eig``) are not needed to validate the metric;
-    each is computed on first read and cached.  The flow builds neither on
-    its grid: its kernels build the blocks of g and of the inverse from the
-    half and det as they walk the points (``metric_trace``,
-    ``flow._volume_and_pairing``).  At n=3 the eigenvalue range runs
+    each is computed on first read and cached.  The flow builds no ``ginv``
+    on its grid: a trace reads the Hermitian half of the inverse
+    (``_inverse_entries``), which ``metric_trace`` builds once per call and
+    an RK4 stage once for both of its traces, and never caches on the
+    metric, where it would outlive the step; a record's V and F build the
+    blocks of g and of the inverse from the half and det as they walk the
+    points (``flow._volume_and_pairing``).  At n=3 the eigenvalue range runs
     eigvalsh only at the points the certified range of ``_eig_range``
     leaves, a few hundred of an N=8 grid's 262 144.
     """
@@ -788,7 +808,7 @@ def inner_product(a: Form, b: Form, metric: Optional[HermitianMetric] = None):
     is orthonormal.  In general the pairing of basis monomials is the product
     of the holomorphic and antiholomorphic Gram determinants.  The conjugated
     coefficient comes first in each product, the order numpy takes for a
-    temporary of 256 KiB or more (see ``_inverse``), so a block of points
+    temporary of 256 KiB or more (see ``_inverse_block``), so a block of points
     pairs like the whole payload.
     """
     a._check_compatible(b)
@@ -871,7 +891,7 @@ def hodge_star(a: Form, metric: Optional[HermitianMetric] = None) -> Form:
                 adet = anti_minor(J, Jp)  # <dzbar^J, dzbar^Jp>
                 c = a.coeffs[hol_lookup[Jp], anti_lookup[Ip]]
                 # the temporary first: numpy multiplies a temporary of 256 KiB
-                # or more in place, in that order (see ``_inverse``)
+                # or more in place, in that order (see ``_inverse_block``)
                 term = (hdet * adet) * c
                 acc = term if acc is None else acc + term
         val = (w * dvc) * acc
@@ -906,6 +926,22 @@ def _trace_table(n, p, q):
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _trace_components(n, p, q):
+    """``_trace_table``'s rows grouped by input component: ((in_i, in_j), rows), in order.
+
+    Each row is ``(out_i, out_j, hol_idx, anti_idx, sign)``.  The grouping is
+    a stable sort, so the rows of a component keep their table order, and
+    so do the rows of every output slot: each output meets its input
+    components in increasing order (``tests/test_forms.py`` checks this for
+    n = 2..4 and every (p, q)).  A trace that walks the components in this
+    order therefore makes every output's sums in table order.
+    """
+    rows = sorted(_trace_table(n, p, q), key=lambda row: row[4:6])
+    return tuple((component, tuple(row[:4] + row[6:] for row in group))
+                 for component, group in groupby(rows, key=lambda row: row[4:6]))
+
+
 def _flat_payload(x: np.ndarray, payload: Tuple[int, ...]) -> np.ndarray:
     """x (two basis axes, then a payload broadcasting to ``payload``) as (r, c, points).
 
@@ -917,7 +953,31 @@ def _flat_payload(x: np.ndarray, payload: Tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(x, lead + payload).reshape(lead + (math.prod(payload),))
 
 
-def metric_trace(a: Form, metric: HermitianMetric) -> Form:
+def _half_reader(diag: np.ndarray, upper: np.ndarray, points: int):
+    """``inverse(row, col, blk)`` for ``metric_trace``: ``ginv[row, col]`` on the block ``blk``.
+
+    ``(diag, upper)`` is the half ``_inverse_entries`` builds, over a payload
+    of ``points`` points.  A diagonal or upper entry is read where it is
+    stored; a lower entry is the conjugate of its upper one, written per
+    block into one block-sized buffer.
+    """
+    n = len(diag)
+    diag, upper = diag.reshape(n, points), upper.reshape(len(upper), points)
+    slot = _index_of(n, 2)
+    lower = np.empty(min(_BLOCK, points), dtype=np.complex128)
+
+    def inverse(row, col, blk):
+        if row == col:
+            return diag[row, blk]
+        if row < col:
+            return upper[slot[row, col], blk]
+        entry = upper[slot[col, row], blk]
+        return np.conj(entry, out=lower[:entry.size])
+
+    return inverse
+
+
+def metric_trace(a: Form, metric) -> Form:
     """sqrt(-1) times the adjoint of wedging with the fundamental form.
 
     In an orthonormal frame this sends a (2,1)-form beta to
@@ -925,50 +985,57 @@ def metric_trace(a: Form, metric: HermitianMetric) -> Form:
     (those are primitive), returned here as the empty form of bidegree
     (p-1, q-1).
 
-    Each row of ``_trace_table`` multiplies an inverse entry by an input
-    coefficient and adds the product to (or subtracts it from) its output
-    slot, in table order.  A payload of points (the grid, or a form and a
-    metric that broadcast against each other) is flattened and walked in
-    blocks of ``_BLOCK`` points.  Per block, each row's product goes into
-    one block-sized term buffer, so every point sees the same sums in the
-    same order as a per-row product of whole fields, and nothing of the
-    payload's size is allocated but the output.  A metric on the whole
-    payload builds each block of its inverse from its half and det by the
-    closed forms of ``_inverse_entries``, so no inverse outlives its block
-    and ``ginv`` is never built; a metric broadcast over the form's points
-    reads its own ``ginv``.  A single point (payload ``()``) multiplies
-    numpy scalars instead: their complex product rounds without the fused
-    multiply-add of numpy's array loops, and the point results keep those
-    bits.
+    ``metric`` is a ``HermitianMetric``, or the Hermitian half of its
+    inverse, ``(diag, upper)`` as ``_inverse_entries`` builds it, on the
+    form's whole payload of points; an RK4 stage passes its one inverse
+    half to both of its traces.  Each row of ``_trace_table`` multiplies an
+    inverse entry by an input coefficient and adds the product to (or
+    subtracts it from) its output slot, in table order.  A payload of
+    points (the grid, or a form and a metric that broadcast against each
+    other) is flattened.  The rows are walked grouped by input component
+    (``_trace_components``), each component's in blocks of ``_BLOCK``
+    points: per block, each row's product goes into one block-sized term
+    buffer.  Every point thus sees the same sums in the same order as a
+    per-row product of whole fields, and nothing of the payload's size is
+    allocated but the output.  Each component plane ``a.coeffs[i, j]`` is
+    read once, and traced before the next is read, so a form whose
+    coefficients are built one component at a time into one buffer can be
+    traced (``flow._BandComponents``).  A metric on the whole payload
+    builds the Hermitian half of its inverse once per call (the full
+    ``np.linalg.inv`` block beyond n = 3), dropped on return, so ``ginv``
+    is never built; a lower entry is the conjugate of its upper one, taken
+    per block.  A metric broadcast over the form's points reads its own
+    ``ginv``.  A single point (payload ``()``) multiplies numpy scalars
+    instead: their complex product rounds without the fused multiply-add of
+    numpy's array loops, and the point results keep those bits.
     """
     n = a.n
     shape = (_basis_dim(n, a.p - 1), _basis_dim(n, a.q - 1))
-    table = _trace_table(n, a.p, a.q)
-    payload = np.broadcast_shapes(a.payload, metric.payload)
+    half = isinstance(metric, tuple)
+    payload = a.payload if half else np.broadcast_shapes(a.payload, metric.payload)
     if not payload:
         out = np.zeros(shape, dtype=np.complex128)
-        for oi, oj, ahol, banti, ii, ij, sign in table:
+        for oi, oj, ahol, banti, ii, ij, sign in _trace_table(n, a.p, a.q):
             product = metric.ginv[banti, ahol] * a.coeffs[ii, ij]
             out[oi, oj] = out[oi, oj] - product if sign < 0 else out[oi, oj] + product
         return Form(n, a.p - 1, a.q - 1, out)
-    if metric.payload != payload:
-        ginv = _flat_payload(metric.ginv, payload)
-        inverse_of = lambda blk: ginv[:, :, blk]
-    else:
-        diag, upper = metric.diag.reshape(n, -1), metric.upper.reshape(len(metric.upper), -1)
-        det = np.reshape(metric.det, -1)
-        inverse_of = lambda blk: _inverse_entries(diag[:, blk], upper[:, blk], det[blk], n)
-    out = np.zeros(shape + payload, dtype=np.complex128)
     points = math.prod(payload)
+    if not half and metric.payload == payload and n <= 3:
+        metric, half = _inverse_entries(metric.diag, metric.upper, metric.det, n), True
+    if half:
+        inverse = _half_reader(*metric, points)
+    else:
+        ginv = _flat_payload(metric.ginv if metric.payload != payload
+                             else _inverse(metric.diag, metric.upper, metric.det, n), payload)
+        inverse = lambda row, col, blk: ginv[row, col, blk]
+    out = np.zeros(shape + (points,), dtype=np.complex128)
     term = np.empty(min(_BLOCK, points), dtype=np.complex128)
-    flat_out = out.reshape(shape + (points,))
-    coeffs = _flat_payload(a.coeffs, payload)
-    rows = [(flat_out[oi, oj], banti, ahol, coeffs[ii, ij], np.subtract if sign < 0 else np.add)
-            for oi, oj, ahol, banti, ii, ij, sign in table]
-    for blk in _blocks(points):
-        ginv_blk = inverse_of(blk)
-        t = term[:min(_BLOCK, points - blk.start)]
-        for o, row, col, c, accumulate in rows:
-            np.multiply(ginv_blk[row][col], c[blk], out=t)
-            accumulate(o[blk], t, out=o[blk])
-    return Form(n, a.p - 1, a.q - 1, out)
+    for (ii, ij), rows in _trace_components(n, a.p, a.q):
+        coeffs = np.broadcast_to(a.coeffs[ii, ij], payload).reshape(points)
+        for blk in _blocks(points):
+            t = term[:min(_BLOCK, points - blk.start)]
+            for oi, oj, ahol, banti, sign in rows:
+                o = out[oi, oj, blk]
+                np.multiply(inverse(banti, ahol, blk), coeffs[blk], out=t)
+                (np.subtract if sign < 0 else np.add)(o, t, out=o)
+    return Form(n, a.p - 1, a.q - 1, out.reshape(shape + payload))

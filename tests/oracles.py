@@ -371,19 +371,36 @@ def oracle_obstructed(a0, a1, a2, span=1100.0, points=4096):
 # package now works in arrays that already exist, with the same operations
 # in the same order, and must give these routes' bits.
 
-def oracle_stage_rate(grid, st, work=None):
-    """``flow._stage_rate`` with del omega and dbar phi each transformed into a new array.
+def oracle_stage_rate(grid, omega_hat, phi_hat, inverse, det, buffer):
+    """``flow._stage_rate`` with fresh (2,1)-fields and a per-block inverse trace.
 
-    ``work`` is accepted and left untouched, so this stands in for the
-    package's rate inside ``step_rk4``.
+    The stage route before the rates streamed their components: del omega
+    and dbar phi are each transformed into a new grid array as a whole, and
+    each trace builds the inverse block by block of ``forms._BLOCK`` points
+    and applies the rows of ``oracle_trace_rows`` to it.  The blocks of the
+    inverse come from ``FullBlockMetric`` on the stage's full block g,
+    rebuilt from ``omega_hat`` by ``oracle_hermitian_from_band``.
+    ``inverse`` and ``buffer`` are accepted and left unread, so this stands
+    in for the package's rate inside ``step_rk4``.
     """
+    from plurisym import forms
     from plurisym.flow import _omega_velocity, _phi_velocity
 
+    n = grid.n
+    g = oracle_hermitian_from_band(grid, -1j * omega_hat).reshape(n, n, -1)
+
+    def traced(hat):
+        coeffs = grid.from_band(hat).reshape(hat.shape[:2] + (-1,))
+        out = np.empty((n, 1, coeffs.shape[2]), dtype=np.complex128)
+        for start in range(0, coeffs.shape[2], forms._BLOCK):
+            blk = slice(start, start + forms._BLOCK)
+            ginv = FullBlockMetric(g[:, :, blk]).ginv
+            out[:, :, blk] = oracle_trace_rows(Form(n, 2, 1, coeffs[:, :, blk]), ginv).coeffs
+        return out.reshape((n, 1) + grid.shape)
+
     omega_vel = _omega_velocity(
-        grid, st.metric,
-        lambda: grid.from_band(grid.derivative_hat(st.omega_hat, 1, 1, anti=False)))
-    phi_vel = _phi_velocity(
-        grid, st.metric, grid.from_band(grid.derivative_hat(st.phi_hat, 2, 0, anti=True)))
+        grid, det, lambda: traced(grid.derivative_hat(omega_hat, 1, 1, anti=False)))
+    phi_vel = _phi_velocity(grid, traced(grid.derivative_hat(phi_hat, 2, 0, anti=True)))
     return omega_vel, phi_vel
 
 

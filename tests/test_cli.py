@@ -223,9 +223,12 @@ def test_flow_json_series_is_valid(tmp_path, capsys):
 @pytest.mark.slow
 def test_one_step_n3_grid12_flow_peaks_under_2gb(tmp_path):
     # a complex field of the n=3 N=12 grid takes 45 MiB.  The command's peak
-    # RSS, read by the child itself, is 1 685 MiB while metrics keep the
-    # Hermitian half of g; it was 2 262 MiB while they kept the full block
-    # (3 781 MiB while they kept the inverse too).  The bound is 2e9 bytes
+    # RSS, read by the child itself, is 1 397 MiB while a stage keeps one
+    # inverse half and traces each (2,1) component through a scalar buffer;
+    # it was 1 766 MiB with a (2,1) work array and the inverse built per
+    # trace (1 685 MiB before that array, while metrics first kept the
+    # Hermitian half of g), 2 262 MiB while metrics kept the full block and
+    # 3 781 MiB while they kept the inverse too.  The bound is 2e9 bytes
     path = tmp_path / "n3-grid12.json"
     path.write_text(json.dumps({"dimension": 3, "grid": 12,
                                 "flow": {"steps": 1, "sample_every": 1}}), encoding="utf-8")

@@ -3,6 +3,7 @@
 import platform
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -317,16 +318,17 @@ def grid_fields(grid, nbytes):
 
 def test_step_peak_memory_above_the_live_state(traced_peak):
     # tracemalloc peak of one n=3 N=6 step over what was live before it, in
-    # full-grid complex scalar fields.  Stages that keep the Hermitian half
-    # of g and det, and take log det to the band before del omega is built,
-    # measure 42.4; stages that kept the full block g measured 46.9, stages
-    # that kept the inverse 58.6, and stages holding del omega and dbar phi
-    # at once 68
+    # full-grid complex scalar fields.  Stages that keep det and one inverse
+    # half, and trace each (2,1) component through one scalar buffer,
+    # measure 33.4; stages that kept the Hermitian half of g and det, with
+    # del omega and then dbar phi in a (2,1) work field, measured 42.4,
+    # stages that kept the full block g 46.9, stages that kept the inverse
+    # 58.6, and stages holding del omega and dbar phi at once 68
     grid = TorusGrid(3, 6)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     out, peak = traced_peak(lambda: step_rk4(grid, st, 1e-4))
     assert out.t > 0.0
-    assert grid_fields(grid, peak) < 44.5
+    assert grid_fields(grid, peak) < 35.5
 
 
 def test_record_peak_memory_above_the_live_state(traced_peak):
@@ -360,34 +362,50 @@ def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
     grid = TorusGrid(n, points)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     before = dict(vars(grid))
-    stages = []
-    real = flow_mod._band_stage
+    metrics, rates = [], []
+    real_build, real_rate = forms_mod.HermitianMetric.from_half, flow_mod._stage_rate
 
-    def band_stage(*args):
-        stages.append(real(*args))
-        return stages[-1]
+    def build(cls, diag, upper):
+        metric = real_build(diag, upper)
+        metrics.append(weakref.ref(metric))
+        return metric
 
-    monkeypatch.setattr(flow_mod, "_band_stage", band_stage)
+    def rate(grid_, omega_hat, phi_hat, inverse, det, buffer):
+        # the stage metrics built so far are gone when a rate runs
+        rates.append(([ref() is None for ref in metrics], omega_hat, phi_hat, inverse, det,
+                      buffer))
+        return real_rate(grid_, omega_hat, phi_hat, inverse, det, buffer)
+
+    monkeypatch.setattr(forms_mod.HermitianMetric, "from_half", classmethod(build))
+    monkeypatch.setattr(flow_mod, "_stage_rate", rate)
     out = step_rk4(grid, st, 1e-4)
     assert vars(grid).keys() == before.keys()
     assert all(vars(grid)[key] is value for key, value in before.items())
-    # the last stage is the stepped state; no stage, the state stepped from
-    # included, has built its physical forms
-    assert len(stages) == 4 and out is stages[-1]
-    for stage in [st] + stages:
-        assert list(vars(stage)) == ["t", "omega_hat", "phi_hat", "metric", "grid"]
-        assert stage.omega_hat.shape[2:] == stage.phi_hat.shape[2:] == grid.band_shape
-        # of grid size, a stage holds its metric's half and det, and no
-        # full block or inverse
-        assert list(vars(stage.metric)) == ["n", "diag", "upper", "det"]
-        assert (stage.metric.diag.shape[1:] == stage.metric.upper.shape[1:]
-                == stage.metric.det.shape == grid.shape)
+    # stages 2-4 build and check their metrics, and the last build is the
+    # stepped state's
+    assert len(rates) == 4 and len(metrics) == 4 and out.metric is metrics[-1]()
+    assert [dead for dead, *_ in rates] == [[], [True], [True] * 2, [True] * 3]
+    # a rate reads band coefficients, one inverse half, det and the step's
+    # one scalar buffer; the first stage's det is the state's
+    assert rates[0][4] is st.metric.det
+    for _, omega_hat, phi_hat, (inv_diag, inv_upper), det, buffer in rates:
+        assert omega_hat.shape[2:] == phi_hat.shape[2:] == grid.band_shape
+        assert inv_diag.dtype == det.dtype == np.float64 and inv_upper.dtype == np.complex128
+        assert inv_diag.shape == (n,) + grid.shape
+        assert inv_upper.shape == (n * (n - 1) // 2,) + grid.shape
+        assert det.shape == grid.shape
+        assert buffer is rates[0][5] and buffer.shape == grid.shape
+    # neither state has built its physical forms or an inverse
+    for state in (st, out):
+        assert list(vars(state)) == ["t", "omega_hat", "phi_hat", "metric", "grid"]
+        assert list(vars(state.metric)) == ["n", "diag", "upper", "det"]
 
 
 @pytest.mark.parametrize("n, points", [(2, 8), (2, 17), (3, 4), (3, 6)])
 def test_step_work_array_matches_fresh_stage_fields_bitwise(n, points, monkeypatch):
-    # rates that write del omega and dbar phi into the step's work array
-    # step the flow as rates that transform each into a new array
+    # rates that trace each (2,1) component through one scalar buffer with
+    # one inverse half per stage step the flow as rates that transform del
+    # omega and dbar phi into new arrays and build the inverse per block
     grid = TorusGrid(n, points)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     mine = step_rk4(grid, st, 1e-4)
@@ -401,24 +419,70 @@ def test_step_work_array_matches_fresh_stage_fields_bitwise(n, points, monkeypat
 
 @pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
 def test_step_writes_its_2_1_fields_into_one_work_array(n, points, monkeypatch):
-    # del omega and dbar phi of the four stages: 8 transforms of (2,1) band
-    # coefficients, all into one array
+    # every component of del omega and dbar phi of the four stages is
+    # transformed into one scalar grid buffer: 2 x 4 x C(n,2) n transforms,
+    # 16 at n=2 and 72 at n=3, and no (2,1) array of band coefficients is
+    # transformed as a whole
     grid = TorusGrid(n, points)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     lead = Form.zeros(n, 2, 1).coeffs.shape
-    outs = []
-    real = TorusGrid.from_band
+    hats, outs, whole = [], [], []
+    real_derivative, real_from_band = TorusGrid.derivative_hat, TorusGrid.from_band
+
+    def derivative_hat(self, chat, p, q, anti):
+        out = real_derivative(self, chat, p, q, anti)
+        if (p, q, anti) in ((1, 1, False), (2, 0, True)):
+            hats.append(out)
+        return out
 
     def from_band(self, band, out=None):
         if band.shape[:band.ndim - 2 * n] == lead:
+            whole.append(band)
+        if any(np.shares_memory(band, hat) for hat in hats):
             outs.append(out)
-        return real(self, band, out)
+        return real_from_band(self, band, out)
 
+    monkeypatch.setattr(TorusGrid, "derivative_hat", derivative_hat)
     monkeypatch.setattr(TorusGrid, "from_band", from_band)
     step_rk4(grid, st, 1e-4)
-    assert len(outs) == 8
+    assert len(hats) == 8 and whole == []
+    assert len(outs) == {2: 16, 3: 72}[n] == 8 * lead[0] * lead[1]
     assert outs[0] is not None and all(out is outs[0] for out in outs)
-    assert outs[0].shape == lead + grid.shape
+    assert outs[0].shape == grid.shape and outs[0].dtype == np.complex128
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4])
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
+def test_an_indefinite_stage_metric_stops_the_step(n, points, stage, monkeypatch):
+    # negative control of the stage guard: an indefinite point injected into
+    # the metric of stage 2, 3 or 4 raises with its eigenvalue as the margin
+    # before that stage's rate runs
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    halves, rates = [], []
+    real_half, real_rate = flow_mod._metric_half, flow_mod._stage_rate
+
+    def metric_half(grid_, omega_hat):
+        diag, upper = real_half(grid_, omega_hat)
+        halves.append(diag)
+        if len(halves) == stage - 1:
+            point = (slice(None),) + (1,) * (2 * n)
+            diag[point] = [1.0] * (n - 1) + [-0.5]
+            upper[point] = 0.0
+        return diag, upper
+
+    def rate(*args):
+        rates.append(args)
+        return real_rate(*args)
+
+    monkeypatch.setattr(flow_mod, "_metric_half", metric_half)
+    monkeypatch.setattr(flow_mod, "_stage_rate", rate)
+    with pytest.raises(PositivityLostError) as info:
+        step_rk4(grid, st, 1e-4)
+    assert len(halves) == len(rates) == stage - 1
+    margin = info.value.margin
+    assert np.isfinite(margin) and margin < 0.0
+    assert margin == pytest.approx(-0.5)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
@@ -427,9 +491,10 @@ def test_a_step_maps_no_fresh_2_1_field_per_stage(minor_faults):
     # CLI fixes, so each one a step allocates is mapped and faulted in
     # afresh.  Rates that transformed del omega and dbar phi into new arrays
     # faulted 8 such fields per step (298 pages with numpy's huge pages,
-    # 73 793 without), one work array per step 1 (40 and 9 232); one fresh
-    # field faults 19 and 9 217.  The first step is left out: it grows the
-    # heap
+    # 73 793 without), one work array per step 1 (40 and 9 232), and rates
+    # that trace them one component at a time through one scalar buffer
+    # build none (2 pages with huge pages); one fresh field faults 19 and
+    # 9 217.  The first step is left out: it grows the heap
     setup = ("import numpy as np\n"
              "from plurisym.calculus import TorusGrid\n"
              "from plurisym.flow import make_initial_hs, step_rk4\n"

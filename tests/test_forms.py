@@ -997,6 +997,58 @@ def test_blocked_trace_matches_the_per_row_reference_bitwise(n, form_payload, me
             assert ("ginv" in vars(m)) != whole
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trace_components_keep_each_outputs_row_order(n):
+    # grouping the trace table by input component is a stable sort that
+    # keeps every output's rows in table order, so a trace that walks the
+    # components makes each output's sums as the per-row reference does
+    for p in range(n + 1):
+        for q in range(n + 1):
+            table = forms_mod._trace_table(n, p, q)
+            grouped = [row[:4] + component + row[4:]
+                       for component, rows in forms_mod._trace_components(n, p, q)
+                       for row in rows]
+            assert sorted(grouped) == sorted(table), (p, q)
+            for output in {row[:2] for row in table}:
+                assert ([row for row in grouped if row[:2] == output]
+                        == [row for row in table if row[:2] == output]), (p, q, output)
+
+
+def trace_in_row_order(a, ginv, rows):
+    """The trace as one whole-payload product per row of ``_trace_table``, in the given order."""
+    out = np.zeros((math.comb(a.n, a.p - 1), math.comb(a.n, a.q - 1)) + a.payload,
+                   dtype=np.complex128)
+    for oi, oj, ahol, banti, ii, ij, sign in rows:
+        term = ginv[banti, ahol] * a.coeffs[ii, ij]
+        if sign < 0:
+            out[oi, oj] -= term
+        else:
+            out[oi, oj] += term
+    return out
+
+
+def test_trace_bits_follow_each_outputs_row_order():
+    # negative control of the order property: the table's rows with one
+    # output's reversed give that output up to rounding, not bit for bit,
+    # while the table order gives metric_trace's bits
+    rng = np.random.default_rng(107)
+    n, payload = 3, (forms_mod._BLOCK + 100,)
+    m = random_metric_stack(rng, n, payload)
+    shape = (3, 3) + payload
+    a = Form(n, 2, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    ginv = _inverse(m.diag, m.upper, m.det, n)
+    want = metric_trace(a, m).coeffs
+    table = list(forms_mod._trace_table(n, 2, 1))
+    assert trace_in_row_order(a, ginv, table).tobytes() == want.tobytes()
+    picks = [k for k, row in enumerate(table) if row[:2] == (0, 0)]
+    for k, row in zip(picks, [table[k] for k in reversed(picks)]):
+        table[k] = row
+    got = trace_in_row_order(a, ginv, table)
+    assert len(picks) == 6 and got[0].tobytes() != want[0].tobytes()
+    assert np.array_equal(got[1:], want[1:])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_star_trace_identity_for_two_one_forms():
     """star(omega^(n-2) ^ beta) = -(n-2)! * trace(beta) for (2,1)-forms, n = 2, 3, 4."""
     rng = np.random.default_rng(89)
