@@ -97,6 +97,25 @@ def _insertion_table(n: int, p: int, q: int, anti: bool):
     return tuple(rows)
 
 
+def _output_shape(n: int, p: int, q: int, anti: bool) -> tuple:
+    """The basis axes of d (anti=False) or dbar (anti=True) of a (p,q)-form."""
+    pp, qq = (p, q + 1) if anti else (p + 1, q)
+    return _basis_dim(n, pp), _basis_dim(n, qq)
+
+
+@lru_cache(maxsize=None)
+def _slot_rows(n: int, p: int, q: int, anti: bool):
+    """``_insertion_table`` grouped by output slot.
+
+    ``(slot, rows)`` for every output slot ``(out_i, out_j)`` in C order,
+    each with its rows ``(coord, in_i, in_j, sign)`` in table order.
+    """
+    table = _insertion_table(n, p, q, anti)
+    return tuple(
+        (slot, tuple((c, ii, ij, sign) for c, ii, ij, oi, oj, sign in table if (oi, oj) == slot))
+        for slot in np.ndindex(*_output_shape(n, p, q, anti)))
+
+
 def _roots_of_unity(points: int) -> np.ndarray:
     """w[m] = exp(-2 pi sqrt(-1) m / points), each angle folded into [0, pi/4].
 
@@ -173,9 +192,12 @@ class TorusGrid:
 
     # ---- transforms ----
 
-    def fft(self, arr: np.ndarray) -> np.ndarray:
-        """Unnormalized DFT of a field (trailing grid axes), as numpy's fftn."""
-        return self._per_axis(self._fwd, arr, self.shape)
+    def fft(self, arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Unnormalized DFT of a field (trailing grid axes), as numpy's fftn.
+
+        ``out`` is as for ``ifft``, and may be ``arr`` itself.
+        """
+        return self._per_axis(self._fwd, arr, self.shape, out)
 
     def ifft(self, arr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Inverse DFT, with its 1/points per axis, as numpy's ifftn.
@@ -307,50 +329,80 @@ class TorusGrid:
         if a.payload != self.shape:
             raise ValueError(f"form payload {a.payload} does not match grid {self.shape}")
 
+    def derivative_components(self, chat: np.ndarray, p: int, q: int, anti: bool,
+                              out: Optional[np.ndarray] = None):
+        """d (anti=False) or dbar (anti=True) of spectral (p,q) coefficients, one component at a time.
+
+        Yields ``(slot, component)`` for every output slot ``(out_i, out_j)``
+        in C order.  A component sums its slot's rows of ``_insertion_table``
+        in table order, starting from zero: the operations of a walk of the
+        whole table, so it has that slot's bits.  It is built in
+        ``out[slot]`` when ``out`` (the derivative's shape) is given, else
+        in one buffer that the next component overwrites, so read each one
+        before asking for the next.  Each row's product goes through one
+        more buffer.  The coefficients cover the whole grid or the resolved
+        band, told apart by their trailing shape; any other shape raises
+        ValueError.
+        """
+        payload = chat.shape[2:]
+        if payload == self.band_shape:
+            mult = self.band_mzbar if anti else self.band_mz
+        elif payload == self.shape:
+            mult = self.mzbar if anti else self.mz
+        else:
+            raise ValueError(f"coefficients {payload} cover neither the grid nor the band")
+        term = np.empty(payload, dtype=np.complex128)
+        buffer = np.empty(payload, dtype=np.complex128) if out is None else None
+        for slot, rows in _slot_rows(self.n, p, q, anti):
+            acc = buffer if out is None else out[slot]
+            acc.fill(0)
+            for c, ii, ij, sign in rows:
+                np.multiply(mult[c], chat[ii, ij], out=term)
+                if sign < 0:
+                    acc -= term
+                else:
+                    acc += term
+            yield slot, acc
+
     def derivative_hat(self, chat: np.ndarray, p: int, q: int, anti: bool) -> np.ndarray:
         """Apply d (anti=False) or dbar (anti=True) to spectral (p,q) coefficients.
 
-        The coefficients cover the whole grid or the resolved band, told apart
-        by their trailing shape; any other shape raises ValueError.
+        ``derivative_components`` built into a new array.  The coefficients
+        cover the whole grid or the resolved band, told apart by their
+        trailing shape; any other shape raises ValueError.
         """
-        n = self.n
-        pp, qq = (p, q + 1) if anti else (p + 1, q)
-        if chat.shape[2:] == self.band_shape:
-            mult = self.band_mzbar if anti else self.band_mz
-        elif chat.shape[2:] == self.shape:
-            mult = self.mzbar if anti else self.mz
-        else:
-            raise ValueError(f"coefficients {chat.shape[2:]} cover neither the grid nor the band")
-        out = np.zeros((_basis_dim(n, pp), _basis_dim(n, qq)) + chat.shape[2:],
-                       dtype=np.complex128)
-        for c, ii, ij, oi, oj, sign in _insertion_table(n, p, q, anti):
-            term = mult[c] * chat[ii, ij]
-            if sign < 0:
-                out[oi, oj] -= term
-            else:
-                out[oi, oj] += term
+        out = np.empty(_output_shape(self.n, p, q, anti) + chat.shape[2:], dtype=np.complex128)
+        for _ in self.derivative_components(chat, p, q, anti, out=out):
+            pass
         return out
 
-    def _exterior(self, a: Form, antis) -> list:
+    def _exterior(self, a: Form, antis, overwrite: bool = False) -> list:
         """del (anti=False) and dbar (anti=True) of a field, one per entry of ``antis``.
 
         The field is transformed forward once, and only if some part has a
         degree within n; a part whose degree would exceed n is the empty zero
-        form.  Each derivative's coefficients are transformed back in place,
-        so a part costs one array of its size.
+        form.  The forward coefficients are dropped once the last part's
+        derivative is built, and each derivative's coefficients are
+        transformed back in place, so a part costs one array of its size.
+        With ``overwrite`` the field's own coefficients (C-contiguous
+        complex) are transformed in place, and ``a`` is left holding them; a
+        caller that keeps no other reference to them frees them here.
         """
         self._check_field(a)
-        n = self.n
-        hat = None
+        n, p0, q0, coeffs = self.n, a.p, a.q, a.coeffs
+        del a  # with overwrite, hat is the only reference this call keeps
+        degrees = [(p0, q0 + 1) if anti else (p0 + 1, q0) for anti in antis]
+        within = [k for k, (p, q) in enumerate(degrees) if max(p, q) <= n]
+        hat = self.fft(coeffs, out=coeffs if overwrite else None) if within else None
+        del coeffs
         parts = []
-        for anti in antis:
-            p, q = (a.p, a.q + 1) if anti else (a.p + 1, a.q)
-            if max(p, q) > n:
+        for k, (anti, (p, q)) in enumerate(zip(antis, degrees)):
+            if k not in within:
                 parts.append(Form.zeros(n, p, q, self.shape))
                 continue
-            if hat is None:
-                hat = self.fft(a.coeffs)
-            part = self.derivative_hat(hat, a.p, a.q, anti)
+            part = self.derivative_hat(hat, p0, q0, anti)
+            if k == within[-1]:
+                hat = None
             parts.append(Form(n, p, q, self.ifft(part, out=part)))
         return parts
 
@@ -413,14 +465,25 @@ def l2_norm(grid: TorusGrid, a: Form, metric: Optional[HermitianMetric] = None) 
 # codifferentials and curvature
 # ----------------------------------------------------------------------
 
+def _codifferential(grid: TorusGrid, a: Form, metric: HermitianMetric, anti: bool) -> Form:
+    """-star D star a, with D = dbar (anti) or del.
+
+    The inner star is transformed forward in place and dropped once its
+    derivative is built, and the outer star is negated in place.
+    """
+    out = hodge_star(grid._exterior(hodge_star(a, metric), (anti,), overwrite=True)[0], metric)
+    np.negative(out.coeffs, out=out.coeffs)
+    return out
+
+
 def codifferential_del(grid: TorusGrid, a: Form, metric: HermitianMetric) -> Form:
     """Adjoint of the holomorphic derivative: -star dbar star."""
-    return -hodge_star(grid.dbar_form(hodge_star(a, metric)), metric)
+    return _codifferential(grid, a, metric, anti=True)
 
 
 def codifferential_dbar(grid: TorusGrid, a: Form, metric: HermitianMetric) -> Form:
     """Adjoint of the antiholomorphic derivative: -star d star."""
-    return -hodge_star(grid.del_form(hodge_star(a, metric)), metric)
+    return _codifferential(grid, a, metric, anti=False)
 
 
 def chern_form(grid: TorusGrid, metric: HermitianMetric) -> Form:
@@ -441,15 +504,16 @@ def chern_form(grid: TorusGrid, metric: HermitianMetric) -> Form:
 def residual_norms(grid: TorusGrid, omega: Form, phi: Form) -> dict:
     """Flat L^2 norms of the structural residuals of a state, from its physical fields.
 
-    The physical route: one forward transform of the full grid for each of
-    omega, phi and conj(phi), then ``residual_norms_hat`` on those
-    coefficients.  It reads any fields, band-limited or not; the flow's
+    The physical route: ``residual_norms_hat``'s norms from the full-grid
+    coefficients of omega, phi and conj(phi).  Each field is transformed
+    forward when its terms come up, and its coefficients are dropped after
+    their last use.  It reads any fields, band-limited or not; the flow's
     records read the band coefficients their state already carries instead
     (``flow.diagnostics_record``), and the two routes agree at roundoff on
     band-limited states.
     """
-    return residual_norms_hat(grid, grid.fft(omega.coeffs), grid.fft(phi.coeffs),
-                              grid.fft(conjugate(phi).coeffs))
+    return _residual_norms(grid, lambda: grid.fft(omega.coeffs), lambda: grid.fft(phi.coeffs),
+                           lambda: grid.fft(conjugate(phi).coeffs))
 
 
 def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
@@ -464,38 +528,62 @@ def residual_norms_hat(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarr
     derivative are assembled explicitly and combined in quadrature.
     Diagnostic norms deliberately use the flat background pairing so they
     stay meaningful even when the evolving metric degenerates.  Derivatives
-    are multipliers and the norms come from Parseval.  Each sum of two
-    derivatives is taken in place in one of them (IEEE addition commutes,
-    so the bits are those of a new sum).
+    are multipliers and the norms come from Parseval.
     """
-    d = grid.derivative_hat
-    d_om = d(omega_hat, 1, 1, anti=False)
-    size = grid.points ** (2 * grid.n)
+    return _residual_norms(grid, lambda: omega_hat, lambda: phi_hat, lambda: phibar_hat)
 
-    def flat_l2(chat: np.ndarray) -> float:
-        if chat.size == 0:
-            return 0.0
+
+def _residual_norms(grid: TorusGrid, get_omega, get_phi, get_phibar) -> dict:
+    """``residual_norms_hat``, each set of coefficients returned by a call of its ``get_*``.
+
+    Each is called once, when its terms come up, and its result is dropped
+    after its last use.  del omega and dbar omega are built whole, since each
+    takes a sum; every other derivative is built one component at a time
+    (``TorusGrid.derivative_components``) and squared or added into that
+    sum before the next (IEEE addition commutes, so the bits are those of
+    a new sum).
+    """
+    n, size = grid.n, grid.points ** (2 * grid.n)
+
+    def flat_l2(lead: tuple, components) -> float:
         # Parseval: the grid mean of |f|^2 is sum |F|^2 / size^2.  The
         # squares go into one real array a component at a time, with the
         # operations of chat.real ** 2 + chat.imag ** 2
-        sq = np.empty(chat.shape)
-        for idx in np.ndindex(*chat.shape[:2]):
-            np.square(chat[idx].real, out=sq[idx])
-            sq[idx] += np.square(chat[idx].imag)
-        return float(np.sqrt(np.sum(sq))) / size
+        sq = None
+        for slot, comp in components:
+            if sq is None:
+                sq = np.empty(lead + comp.shape)
+            np.square(comp.real, out=sq[slot])
+            sq[slot] += np.square(comp.imag)
+        return 0.0 if sq is None else float(np.sqrt(np.sum(sq))) / size
 
-    # del omega's last uses come first, so it is dropped before the (1,2)
-    # derivatives are built
-    pluriclosed = flat_l2(d(d_om, 2, 1, anti=True))
-    d_om += d(phi_hat, 2, 0, anti=True)
-    hs = flat_l2(d_om)
+    def norm(chat: np.ndarray) -> float:
+        return flat_l2(chat.shape[:2], ((s, chat[s]) for s in np.ndindex(*chat.shape[:2])))
+
+    def derivative_norm(chat: np.ndarray, p: int, q: int, anti: bool) -> float:
+        return flat_l2(_output_shape(n, p, q, anti),
+                       grid.derivative_components(chat, p, q, anti))
+
+    def add_derivative(total: np.ndarray, chat: np.ndarray, p: int, q: int, anti: bool):
+        for slot, comp in grid.derivative_components(chat, p, q, anti):
+            total[slot] += comp
+
+    omega_hat = get_omega()
+    d_om = grid.derivative_hat(omega_hat, 1, 1, anti=False)
+    pluriclosed = derivative_norm(d_om, 2, 1, anti=True)
+    phi_hat = get_phi()
+    add_derivative(d_om, phi_hat, 2, 0, anti=True)
+    hs = norm(d_om)
     del d_om
-    d_phi = flat_l2(d(phi_hat, 2, 0, anti=False))
-    mixed = d(omega_hat, 1, 1, anti=True)
-    mixed += d(phibar_hat, 0, 2, anti=False)
-    closedness = d_phi ** 2 + hs ** 2 + flat_l2(mixed) ** 2
+    d_phi = derivative_norm(phi_hat, 2, 0, anti=False)
+    del phi_hat
+    mixed = grid.derivative_hat(omega_hat, 1, 1, anti=True)
+    del omega_hat
+    phibar_hat = get_phibar()
+    add_derivative(mixed, phibar_hat, 0, 2, anti=False)
+    closedness = d_phi ** 2 + hs ** 2 + norm(mixed) ** 2
     del mixed
-    closedness += flat_l2(d(phibar_hat, 0, 2, anti=True)) ** 2
+    closedness += derivative_norm(phibar_hat, 0, 2, anti=True) ** 2
     return {
         "d_omega": float(np.sqrt(closedness)),
         "hs_constraint": hs,

@@ -821,6 +821,12 @@ def inner_product(a: Form, b: Form, metric: Optional[HermitianMetric] = None):
     if not hol or not anti:
         payload = np.broadcast_shapes(ca.shape[2:], cb.shape[2:], metric.payload)
         return np.zeros(payload, dtype=np.complex128)
+    # a holomorphic minor is read once, an antiholomorphic one once per
+    # (I, K): as in ``hodge_star``, a minor read more than once is built
+    # once per call
+    anti_minor = partial(_minor_det, ginv)
+    if len(hol) > 1:
+        anti_minor = cache(anti_minor)
     total = 0.0
     for bi, I in enumerate(hol):
         for gi, K in enumerate(hol):
@@ -829,7 +835,7 @@ def inner_product(a: Form, b: Form, metric: Optional[HermitianMetric] = None):
             for bj, J in enumerate(anti):
                 for gj, L in enumerate(anti):
                     # <dzbar^J, dzbar^L> = det ginv[J_a, L_b]
-                    adet = _minor_det(ginv, J, L)
+                    adet = anti_minor(J, L)
                     total = total + np.conj(cb[gi, gj]) * ca[bi, bj] * hdet * adet
     return total
 

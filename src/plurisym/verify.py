@@ -167,6 +167,32 @@ def pointwise_suite(seed: int = DEFAULT_SEED,
 # grid calculus suites
 # ----------------------------------------------------------------------
 
+def _grid_components(grid: TorusGrid, hat: np.ndarray, p: int, q: int, anti: bool):
+    """d or dbar of a (p,q)-field from its full-grid coefficients, one physical component at a time.
+
+    Yields ``(slot, component)`` as ``TorusGrid.derivative_components``
+    does, each component transformed back in place in the walk's buffer.
+    """
+    for slot, comp in grid.derivative_components(hat, p, q, anti):
+        yield slot, grid.ifft(comp, out=comp)
+
+
+def _component_norm(components) -> float:
+    """``l2_norm`` of a field given one physical component at a time.
+
+    The pointwise squares are summed over the components in C order, the
+    sum ``Form.flat_norm_sq`` takes, so the norm keeps its bits.
+    """
+    total = None
+    for _, comp in components:
+        sq = np.abs(comp) ** 2
+        if total is None:
+            total = sq
+        else:
+            total += sq
+    return 0.0 if total is None else float(np.sqrt(np.mean(total)))
+
+
 def _grid_draws(grid: TorusGrid, rng: np.random.Generator, p: int, q: int,
                 cutoff: int = 2) -> Form:
     n = grid.n
@@ -237,20 +263,26 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
             a = _grid_draws(grid, rng, p, q)
             norm = max(l2_norm(grid, a), 1e-300)
-            # one forward transform per field; each derivative is reduced to
-            # its norm and dropped before the next one is built
+            # one forward transform per field, in place for the first
+            # derivatives; dda, bba and dba are built one component at a
+            # time, the first two reduced to their norms and dba added into
+            # bda
             da, ba = grid.derivatives(a)
             del a
-            dda, bda = grid.derivatives(da)
+            hat = grid.fft(da.coeffs, out=da.coeffs)
             del da
-            dd = l2_norm(grid, dda) / norm
-            del dda
-            dba, bba = grid.derivatives(ba)
+            dd = _component_norm(_grid_components(grid, hat, p + 1, q, anti=False)) / norm
+            bda = grid.derivative_hat(hat, p + 1, q, anti=True)
+            del hat
+            grid.ifft(bda, out=bda)
+            hat = grid.fft(ba.coeffs, out=ba.coeffs)
             del ba
-            bb = l2_norm(grid, bba) / norm
-            del bba
-            mixed = l2_norm(grid, bda + dba) / norm
-            del bda, dba
+            bb = _component_norm(_grid_components(grid, hat, p, q + 1, anti=True)) / norm
+            for slot, dba in _grid_components(grid, hat, p, q + 1, anti=False):
+                bda[slot] += dba
+            del hat
+            mixed = l2_norm(grid, Form(n, p + 1, q + 1, bda)) / norm
+            del bda
             nil_worst = _worst(nil_worst, dd, bb, mixed)
         # integrals of exact top-degree forms vanish
         chi = _grid_draws(grid, rng, n - 1, n)

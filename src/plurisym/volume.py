@@ -33,6 +33,7 @@ from .forms import (
     HermitianMetric,
     conjugate,
     form_power,
+    fundamental_form,
     metric_of_form,
     wedge,
 )
@@ -211,14 +212,17 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
                                 resolution_guard: float = Tolerances.resolution_guard) -> dict:
     """Compare centered-difference time derivatives with their integral formulas.
 
-    ``states`` are evenly spaced trajectory samples carrying .t, .omega,
-    .phi and their record's .V and .F (``flow.Sample``); the V and F series
-    are read from there, not measured again.  A ``flow.Sample`` builds its
-    forms from its band coefficients on each read, so the pass reads each
-    sample's forms once: omega wherever it is used (every sample at n=2,
-    for the squared-volume series), phi at the interior samples only.  The
-    metric of omega is rebuilt only at the interior samples, whose formula
-    sides are evaluated, bit for bit the one the flow certified.  An
+    ``states`` are evenly spaced trajectory samples (``flow.Sample``)
+    carrying .t, their state's packed metric band fields .packed, .omega,
+    .phi and their record's .V and .F; the V and F series are read from
+    there, not measured again.  A ``flow.Sample`` builds its forms from its
+    band fields on each read, so the pass reads each sample's forms once:
+    omega wherever it is used (every sample at n=2, for the squared-volume
+    series), phi at the interior samples only.  The metric of omega is
+    rebuilt only at the interior samples, whose formula sides are
+    evaluated: one grid step of the packed fields gives the Hermitian half
+    that ``HermitianMetric.from_half`` keeps and from which omega is built,
+    so both are bit for bit the flow's, with no Hermiticity scan.  An
     interior sample drops each field after its last use: the torsion term
     and dbar omega first, the metric once the curvature form is built,
     then that form.  Three
@@ -269,13 +273,18 @@ def check_derivative_identities(grid: TorusGrid, states: Sequence,
     for k, st in enumerate(states):
         if n != 2 and k not in interior:
             continue
-        omega = st.omega  # built on each read, so read once
+        if k in interior:
+            # omega and its metric from one grid step of the sample's packed
+            # fields: the half that builds omega is the metric's own
+            metric = HermitianMetric.from_half(*grid.hermitian_from_band(st.packed))
+            omega = fundamental_form(metric)
+        else:
+            omega = st.omega  # built on each read, so read once
         if n == 2:
             ps[k] = integrate(grid, form_power(omega, 2)).real
         if k not in interior:
             continue
         # each field is dropped after its last use
-        metric = metric_of_form(omega)
         dbar_om = grid.dbar_form(omega)
         if n == 2:
             torsion_term = 4.0 * integrate(

@@ -12,7 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from plurisym.forms import Form, flat_volume_coefficient, multi_indices
+from plurisym.calculus import _insertion_table
+from plurisym.forms import Form, _basis_dim, flat_volume_coefficient, multi_indices
 
 
 def _inversions(seq):
@@ -367,7 +368,7 @@ def oracle_obstructed(a0, a1, a2, span=1100.0, points=4096):
 # routes that allocate every field afresh
 # ----------------------------------------------------------------------
 # Stage rates, derivatives and residual norms once built each field in a new
-# array: every inverse transform, sum of derivatives and square.  The
+# array: every derivative, inverse transform, sum of derivatives and square.  The
 # package now works in arrays that already exist, with the same operations
 # in the same order, and must give these routes' bits.
 
@@ -399,9 +400,33 @@ def oracle_stage_rate(grid, omega_hat, phi_hat, inverse, det, buffer):
         return out.reshape((n, 1) + grid.shape)
 
     omega_vel = _omega_velocity(
-        grid, det, lambda: traced(grid.derivative_hat(omega_hat, 1, 1, anti=False)))
-    phi_vel = _phi_velocity(grid, traced(grid.derivative_hat(phi_hat, 2, 0, anti=True)))
+        grid, det, lambda: traced(oracle_derivative_hat(grid, omega_hat, 1, 1, anti=False)))
+    phi_vel = _phi_velocity(grid, traced(oracle_derivative_hat(grid, phi_hat, 2, 0, anti=True)))
     return omega_vel, phi_vel
+
+
+def oracle_derivative_hat(grid, chat: np.ndarray, p: int, q: int, anti: bool) -> np.ndarray:
+    """``TorusGrid.derivative_hat`` as one walk of the whole insertion table.
+
+    Every row adds its product, a new array, into a zeroed output holding
+    all components, in table order.  The package walks the table one output
+    component at a time (``TorusGrid.derivative_components``).
+    """
+    n = grid.n
+    pp, qq = (p, q + 1) if anti else (p + 1, q)
+    if chat.shape[2:] == grid.band_shape:
+        mult = grid.band_mzbar if anti else grid.band_mz
+    else:
+        mult = grid.mzbar if anti else grid.mz
+    out = np.zeros((_basis_dim(n, pp), _basis_dim(n, qq)) + chat.shape[2:],
+                   dtype=np.complex128)
+    for c, ii, ij, oi, oj, sign in _insertion_table(n, p, q, anti):
+        term = mult[c] * chat[ii, ij]
+        if sign < 0:
+            out[oi, oj] -= term
+        else:
+            out[oi, oj] += term
+    return out
 
 
 def oracle_derivatives(grid, a: Form):
@@ -412,13 +437,16 @@ def oracle_derivatives(grid, a: Form):
         if max(p, q) > a.n:
             parts.append(Form.zeros(a.n, p, q, grid.shape))
         else:
-            parts.append(Form(a.n, p, q, grid.ifft(grid.derivative_hat(hat, a.p, a.q, anti))))
+            parts.append(Form(a.n, p, q, grid.ifft(oracle_derivative_hat(grid, hat, a.p, a.q,
+                                                                         anti))))
     return tuple(parts)
 
 
 def oracle_residual_norms_hat(grid, omega_hat, phi_hat, phibar_hat) -> dict:
-    """``calculus.residual_norms_hat`` with each sum and each square in a new array."""
-    d = grid.derivative_hat
+    """``calculus.residual_norms_hat`` with each derivative, sum and square in a new array."""
+    def d(chat, p, q, anti):
+        return oracle_derivative_hat(grid, chat, p, q, anti)
+
     size = grid.points ** (2 * grid.n)
 
     def flat_l2(chat):

@@ -36,6 +36,7 @@ from plurisym.forms import (
 from oracles import (
     oracle_band_conjugate,
     oracle_ddbar_band,
+    oracle_derivative_hat,
     oracle_derivatives,
     oracle_residual_norms_hat,
     random_hermitian_positive,
@@ -132,11 +133,48 @@ def test_derivatives_peak_memory_above_the_field(traced_peak):
     assert peak / (16 * 6 ** 6) < 33
 
 
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shapes and equal float views, the sign bits of zeros included."""
+    got, want = got.view(np.float64), want.view(np.float64)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize(
+    "n, points, p, q",
+    [(n, points, p, q) for n, points in ((2, 8), (2, 17), (3, 4), (3, 6))
+     for p in range(n + 1) for q in range(n + 1)],
+)
+def test_derivative_components_match_the_whole_table_walk_bitwise(n, points, p, q):
+    # each output component built alone, into one buffer or into its slot of
+    # derivative_hat's output, against one walk of the whole table, on the
+    # full grid and on the band.  Signed zeros count: the k = 0 multipliers
+    # are zero, and zeros of both signs are planted in the coefficients
+    grid = TorusGrid(n, points)
+    rng = np.random.default_rng(100 * points + 10 * p + q)
+    shape = (math.comb(n, p), math.comb(n, q)) + grid.shape
+    hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = hat.reshape(-1)
+    flat[::5], flat[1::7] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    for chat in (hat, hat[(slice(None),) + band_index(grid)]):
+        for anti in (False, True):
+            want = oracle_derivative_hat(grid, chat, p, q, anti)
+            assert same_bits(grid.derivative_hat(chat, p, q, anti), want)
+            slots, buffers = [], set()
+            for slot, comp in grid.derivative_components(chat, p, q, anti):
+                assert same_bits(comp, want[slot])
+                slots.append(slot)
+                buffers.add(id(comp))
+            assert slots == list(np.ndindex(*want.shape[:2]))
+            assert len(buffers) <= 1
+
+
 def test_residual_norms_hat_match_the_copying_route_bitwise(traced_peak):
     # full-grid and band coefficients of an n=3 N=6 state.  Sums of
     # derivatives taken in place and squares taken a component at a time
     # keep the norms' bits, and on the full grid the peak over the inputs
-    # falls from 27.0 fields to 23.0
+    # falls from 27.0 fields to 23.0; building every derivative that is
+    # only squared or added one component at a time, to 16.0
     grid = TorusGrid(3, 6)
     rng = np.random.default_rng(6)
     omega, phi = random_field(grid, rng, 1, 1), random_field(grid, rng, 2, 0)
@@ -146,7 +184,42 @@ def test_residual_norms_hat_match_the_copying_route_bitwise(traced_peak):
     hats = [grid.fft(f) for f in fields]
     got, peak = traced_peak(lambda: residual_norms_hat(grid, *hats))
     assert got == oracle_residual_norms_hat(grid, *hats)
-    assert peak / (16 * 6 ** 6) < 25
+    assert peak / (16 * 6 ** 6) < 17
+
+
+def test_residual_norms_transform_each_field_as_its_terms_come_up(count_fields, traced_peak):
+    # the physical route against the call it replaced, the norms of all
+    # three full-grid transforms taken first: the same bits from one forward
+    # transform of each field.  Each field's coefficients are dropped after
+    # their last use, so the peak over an n=3 N=6 state falls from 38.0
+    # fields to 26.0
+    grid = TorusGrid(3, 6)
+    rng = np.random.default_rng(16)
+    omega, phi = random_field(grid, rng, 1, 1, cutoff=2), random_field(grid, rng, 2, 0, cutoff=2)
+    want = oracle_residual_norms_hat(grid, grid.fft(omega.coeffs), grid.fft(phi.coeffs),
+                                     grid.fft(conjugate(phi).coeffs))
+    forward = count_fields("fft")
+    got, peak = traced_peak(lambda: residual_norms(grid, omega, phi))
+    assert got == want
+    assert forward == [9, 3, 3]
+    assert peak / (16 * 6 ** 6) < 28
+
+
+def test_codifferentials_transform_their_inner_star_in_place(traced_peak):
+    # -star D star against the composition that transformed the inner star
+    # into a new array and negated into another: the same bits.  The inner
+    # star's coefficients are the transform, dropped once differentiated,
+    # so codifferential_dbar of an n=3 N=6 (1,1)-form, building the
+    # metric's inverse, peaks 24.0 fields over its inputs, against 32.2
+    grid = TorusGrid(3, 6)
+    rng = np.random.default_rng(8)
+    m = random_metric_field(grid, rng)
+    a = random_field(grid, rng, 1, 1)
+    got, peak = traced_peak(lambda: codifferential_dbar(grid, a, m))
+    assert peak / (16 * 6 ** 6) < 25.5
+    assert same_bits(got.coeffs, (-hodge_star(grid.del_form(hodge_star(a, m)), m)).coeffs)
+    assert same_bits(codifferential_del(grid, a, m).coeffs,
+                     (-hodge_star(grid.dbar_form(hodge_star(a, m)), m)).coeffs)
 
 
 def test_derivative_against_trig_identity():

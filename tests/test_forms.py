@@ -803,6 +803,38 @@ def test_inner_product_matches_oracle():
                 assert got == pytest.approx(want, abs=1e-10), f"n={n} ({p},{q})"
 
 
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(4) for q in range(4)])
+def test_inner_product_builds_each_minor_once(p, q, monkeypatch):
+    # each antiholomorphic minor read more than once is built once per call:
+    # 90 minors -> 18 for the (1,2) pairing, the bits of the uncached route
+    n = 3
+    rng = np.random.default_rng(10 * p + q)
+    m = HermitianMetric.from_matrix(random_stack(rng, n, 40))
+    a, b = (Form(n, p, q, random_point_form(rng, n, p, q).coeffs[..., None]
+                 * rng.standard_normal(40)) for _ in range(2))
+    calls = []
+    real = forms_mod._minor_det
+
+    def counted(ginv, rows, cols):
+        calls.append((rows, cols))
+        return real(ginv, rows, cols)
+
+    monkeypatch.setattr(forms_mod, "_minor_det", counted)
+    got = inner_product(a, b, m)
+    cached = len(calls)
+    calls.clear()
+    monkeypatch.setattr(forms_mod, "cache", lambda fn: fn)
+    want = inner_product(a, b, m)
+    hol, anti = math.comb(n, p), math.comb(n, q)
+    assert len(calls) == hol ** 2 * (1 + anti ** 2)
+    assert cached == (hol ** 2 + anti ** 2 if hol > 1 else len(calls))
+    if (p, q) == (1, 2):
+        assert (len(calls), cached) == (90, 18)
+    assert np.array_equal(np.asarray(got).view(np.float64), np.asarray(want).view(np.float64))
+    assert np.array_equal(np.signbit(np.asarray(got).view(np.float64)),
+                          np.signbit(np.asarray(want).view(np.float64)))
+
+
 def test_inner_product_positivity():
     rng = np.random.default_rng(41)
     for _ in range(25):

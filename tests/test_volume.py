@@ -375,14 +375,15 @@ def test_derivative_identities_build_metrics_at_interior_samples_only(
         grid2, short_trajectory, monkeypatch):
     states = short_trajectory.states
     volumes = count_calls(monkeypatch, volume_mod, "volume_V")
+    # every metric, from a full block or from a half, is built by from_half
     metrics = []
-    real = forms_mod.HermitianMetric.from_matrix
+    real = forms_mod.HermitianMetric.from_half
 
-    def build(cls, g):
+    def build(cls, diag, upper):
         metrics.append(None)
-        return real(g)
+        return real(diag, upper)
 
-    monkeypatch.setattr(forms_mod.HermitianMetric, "from_matrix", classmethod(build))
+    monkeypatch.setattr(forms_mod.HermitianMetric, "from_half", classmethod(build))
     check_derivative_identities(grid2, states)
     assert volumes == []
     assert len(metrics) == len(states) - 4
