@@ -19,20 +19,24 @@ A state is a ``FlowState``: band coefficients of omega and phi and the
 metric of omega, whose Hermitian half (the real diagonal and upper triangle
 of g) and determinant are the only grid fields it holds.  Its physical forms
 are computed from these on first read (omega from the metric block, phi by
-one band transform), so an unsampled step never builds them.  An RK4 stage
-is less: its band coefficients, det and the Hermitian half of its inverse
-metric, which both of its traces read.  Stages 2-4 build and check their
-metric as a state's is built, then build the inverse half and drop g's half
-before their rate runs; the first stage builds an inverse half of the
-state's metric and drops it when its rate returns.  Everything else a rate
-computes on the grid (log det, the two traces) is built while it runs and
-dropped when it returns, so the grid holds no work field.  Del omega and
-dbar phi never exist on the grid: each of their components is transformed
-from the band into one complex scalar grid buffer, which the step allocates
-once, and traced before the next component is transformed over it.  No
-grid-sized full metric block or inverse block exists: a record's V and F
-walk the points in blocks, building each block of g and of the inverse from
-the half and det.
+one band transform), so an unsampled step never builds them.  A step holds
+none of its state's grid fields past the first stage: that stage builds an
+inverse half of the state's metric, and the state then drops the metric,
+which a later read rebuilds bit for bit from the band coefficients.  An RK4
+stage is less than a state: its band coefficients, det and the Hermitian
+half of its inverse metric, which both of its traces read.  Stages 2-4
+build and check their metric as a state's is built, then write the inverse
+half over g's half before their rate runs; the first stage's inverse half
+is dropped when its rate returns.  The four rates are summed into the
+first as each one returns.  Everything else a rate computes on the grid
+(log det, the two traces) is built while it runs and dropped when it
+returns, so the grid holds no work field.  Del omega and dbar phi never
+exist on the grid: each of their components is transformed from the band
+into one complex scalar grid buffer, which the step allocates once, and
+traced before the next component is transformed over it.  No grid-sized
+full metric block or inverse block exists: a record's V and F walk the
+points in blocks, building each block of g and of the inverse from the
+half and det.
 
 Every state lives on the band: the initial data are built there, and
 ``FlowState.make`` takes physical fields there once, refusing a field with
@@ -96,8 +100,12 @@ class FlowState:
 
     ``omega_hat`` and ``phi_hat`` are the band coefficients of omega and phi,
     and ``metric`` is the metric of omega; its Hermitian half and det are
-    the only grid-sized arrays a state holds.  The physical forms ``omega``
-    and ``phi`` are computed from these on first read and kept; treat them
+    the only grid-sized arrays a state holds.  A state is built with its
+    metric checked (``_band_stage``); ``step_rk4`` drops the metric of the
+    state it steps once its first stage has read it, and the next read of
+    ``metric`` rebuilds it from ``omega_hat`` by the same route, bit for
+    bit.  A metric object a caller holds stays valid.  The physical forms
+    ``omega`` and ``phi`` are computed on first read and kept; treat them
     as read-only.  A step reads neither of its state's forms nor builds its
     own, and a record builds neither.
     """
@@ -105,8 +113,12 @@ class FlowState:
     t: float
     omega_hat: np.ndarray
     phi_hat: np.ndarray
-    metric: HermitianMetric
     grid: TorusGrid
+
+    @cached_property
+    def metric(self) -> HermitianMetric:
+        """The metric of omega, built from the band coefficients and checked on first read."""
+        return HermitianMetric.from_half(*_metric_half(self.grid, self.omega_hat))
 
     @cached_property
     def omega(self) -> Form:
@@ -276,8 +288,9 @@ def _band_stage(grid: TorusGrid, t: float, omega_hat: np.ndarray,
     Hermiticity scan and no copy.  Positivity is always enforced.  The
     metric's half and det are the only grid fields a state keeps.
     """
-    metric = HermitianMetric.from_half(*_metric_half(grid, omega_hat))
-    return FlowState(t, omega_hat, phi_hat, metric, grid)
+    state = FlowState(t, omega_hat, phi_hat, grid)
+    state.metric  # built and checked now, so an indefinite state raises here
+    return state
 
 
 def _stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
@@ -288,13 +301,15 @@ def _stage(grid: TorusGrid, omega_hat: np.ndarray, phi_hat: np.ndarray,
     (``_inverse_entries``), and det the metric's determinant.  Without
     ``metric`` (stages 2-4) the metric of ``omega_hat`` is built and
     checked as a state's is (``HermitianMetric.from_half``, positivity
-    enforced), and only its det outlives this call: g's half is dropped
-    before the rate runs.  The first stage passes the state's metric, which
-    the state keeps; its inverse half lives only while the rate runs.
+    enforced), and its inverse half is written over g's half, which no one
+    else holds; only det outlives the metric.  The first stage passes the
+    state's metric, whose half is left as it is: the inverse half is a new
+    array, which lives only while the rate runs.
     """
-    if metric is None:
+    fresh = metric is None
+    if fresh:
         metric = HermitianMetric.from_half(*_metric_half(grid, omega_hat))
-    inverse = _inverse_entries(metric.diag, metric.upper, metric.det, grid.n)
+    inverse = _inverse_entries(metric.diag, metric.upper, metric.det, grid.n, in_place=fresh)
     return omega_hat, phi_hat, inverse, metric.det
 
 
@@ -345,23 +360,36 @@ def step_rk4(grid: TorusGrid, state: FlowState, dt: float) -> FlowState:
     PositivityLostError and leaves the caller holding the last valid state.
     The last stage is the returned state, and the first stage of the next
     step.  Each stage builds one inverse half of its metric, read by both
-    of its traces (``_stage``); stages 2-4 keep only det of their metrics,
-    and every field a rate builds is dropped when it returns.  The four
-    rates share one complex scalar grid buffer, allocated here and dropped
-    on return, through which every (2,1) component is traced.
+    of its traces (``_stage``); stages 2-4 write it over g's half and keep
+    only det of their metrics, and every field a rate builds is dropped
+    when it returns.  Once the first stage has built its inverse half, the
+    state drops its metric: it keeps only its band coefficients, and a
+    later read of ``state.metric`` rebuilds the metric bit for bit.  The
+    four rates share one complex scalar grid buffer, allocated here and
+    dropped on return, through which every (2,1) component is traced.
+    ``kw1 + 2 kw2 + 2 kw3 + kw4`` (and phi's) is added up in the first
+    rate's array as each rate returns, in that order, so it keeps the bits
+    of the whole expression.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     t, w0, p0 = state.t, state.omega_hat, state.phi_hat
     half = 0.5 * dt
     buffer = np.empty(grid.shape, dtype=np.complex128)
-    kw1, kp1 = _stage_rate(grid, *_stage(grid, w0, p0, state.metric), buffer)
-    kw2, kp2 = _stage_rate(grid, *_stage(grid, w0 + half * kw1, p0 + half * kp1), buffer)
-    kw3, kp3 = _stage_rate(grid, *_stage(grid, w0 + half * kw2, p0 + half * kp2), buffer)
-    kw4, kp4 = _stage_rate(grid, *_stage(grid, w0 + dt * kw3, p0 + dt * kp3), buffer)
+    first = _stage(grid, w0, p0, state.metric)
+    del state.metric
+    kw, kp = _stage_rate(grid, *first, buffer)
+    del first
+    sum_w, sum_p = kw, kp
+    for shift in (half, half):
+        kw, kp = _stage_rate(grid, *_stage(grid, w0 + shift * kw, p0 + shift * kp), buffer)
+        sum_w += 2.0 * kw
+        sum_p += 2.0 * kp
+    kw, kp = _stage_rate(grid, *_stage(grid, w0 + dt * kw, p0 + dt * kp), buffer)
+    sum_w += kw
+    sum_p += kp
     sixth = dt / 6.0
-    return _band_stage(grid, t + dt, w0 + sixth * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4),
-                       p0 + sixth * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4))
+    return _band_stage(grid, t + dt, w0 + sixth * sum_w, p0 + sixth * sum_p)
 
 
 def parabolic_dt_bound(grid: TorusGrid, metric: HermitianMetric, safety: float) -> float:

@@ -413,7 +413,8 @@ def _inverse(diag: np.ndarray, upper: np.ndarray, det, n: int) -> np.ndarray:
     return _hermitian_block(*_inverse_entries(diag, upper, det, n))
 
 
-def _inverse_entries(diag: np.ndarray, upper: np.ndarray, det, n: int):
+def _inverse_entries(diag: np.ndarray, upper: np.ndarray, det, n: int,
+                     in_place: bool = False):
     """The Hermitian half of the inverse of a positive definite half, from its det; n = 2, 3.
 
     ``(diag, upper)`` of the inverse, laid out as ``HermitianMetric`` keeps
@@ -421,13 +422,20 @@ def _inverse_entries(diag: np.ndarray, upper: np.ndarray, det, n: int):
     triangle, (n(n-1)/2, *payload) complex128; the lower triangle is the
     conjugate of the upper one.  The closed forms (``_inverse_block``) run
     over blocks of ``_BLOCK`` points (``_blocks``), so their temporaries are
-    block-sized and the half is the only payload-sized array built.  Each
-    point sees the same operations at any block size.  A single point
-    (payload ``()``) is computed as it is: numpy's complex scalar product
-    rounds differently from its array loops.
+    block-sized and the half is the only payload-sized array built.  With
+    ``in_place`` none is built: the inverse half is written over the given
+    C-contiguous ``(diag, upper)``, which are returned, each block of points
+    copied into block temporaries before its inverse is written.  Each point
+    sees the same operations at any block size, in place or not.  A single
+    point (payload ``()``) is computed as it is, its entries read as scalars
+    before any is written: numpy's complex scalar product rounds differently
+    from its array loops.
     """
-    inv_diag = np.empty(diag.shape)
-    inv_upper = np.empty(upper.shape, dtype=np.complex128)
+    if in_place:
+        inv_diag, inv_upper = diag, upper
+    else:
+        inv_diag = np.empty(diag.shape)
+        inv_upper = np.empty(upper.shape, dtype=np.complex128)
     if diag.ndim == 1:
         _inverse_block(diag, upper, det, n, inv_diag, inv_upper)
         return inv_diag, inv_upper
@@ -435,7 +443,10 @@ def _inverse_entries(diag: np.ndarray, upper: np.ndarray, det, n: int):
     out_diag, out_upper = inv_diag.reshape(n, -1), inv_upper.reshape(len(upper), -1)
     flat_det = np.reshape(det, -1)
     for blk in _blocks(flat_det.size):
-        _inverse_block(flat_diag[:, blk], flat_upper[:, blk], flat_det[blk], n,
+        block_diag, block_upper = flat_diag[:, blk], flat_upper[:, blk]
+        if in_place:
+            block_diag, block_upper = block_diag.copy(), block_upper.copy()
+        _inverse_block(block_diag, block_upper, flat_det[blk], n,
                        out_diag[:, blk], out_upper[:, blk])
     return inv_diag, inv_upper
 

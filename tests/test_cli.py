@@ -223,12 +223,15 @@ def test_flow_json_series_is_valid(tmp_path, capsys):
 @pytest.mark.slow
 def test_one_step_n3_grid12_flow_peaks_under_2gb(tmp_path):
     # a complex field of the n=3 N=12 grid takes 45 MiB.  The command's peak
-    # RSS, read by the child itself, is 1 397 MiB while a stage keeps one
-    # inverse half and traces each (2,1) component through a scalar buffer;
-    # it was 1 766 MiB with a (2,1) work array and the inverse built per
-    # trace (1 685 MiB before that array, while metrics first kept the
-    # Hermitian half of g), 2 262 MiB while metrics kept the full block and
-    # 3 781 MiB while they kept the inverse too.  The bound is 2e9 bytes
+    # RSS, read by the child itself, is 1 072 MiB while a step drops its
+    # state's metric after the first stage and stages 2-4 invert g's half in
+    # place; it was 1 397 MiB while the step kept its state's metric and
+    # each stage built a new inverse half, with each (2,1) component traced
+    # through a scalar buffer, 1 766 MiB with a (2,1) work array and the
+    # inverse built per trace (1 685 MiB before that array, while metrics
+    # first kept the Hermitian half of g), 2 262 MiB while metrics kept the
+    # full block and 3 781 MiB while they kept the inverse too.  The bound
+    # is 2e9 bytes
     path = tmp_path / "n3-grid12.json"
     path.write_text(json.dumps({"dimension": 3, "grid": 12,
                                 "flow": {"steps": 1, "sample_every": 1}}), encoding="utf-8")
@@ -245,10 +248,12 @@ def test_one_step_n3_grid12_flow_peaks_under_2gb(tmp_path):
 @pytest.mark.slow
 def test_default_n2_volume_peaks_under_450mb(tmp_path):
     # a default n=2 `volume` keeps 401 samples.  Its peak RSS, read by the
-    # child itself, is 383-385 MiB while a sample holds 3 band fields and
-    # the identity pass drops each field after its last use; it was 550 MiB
-    # while a sample held omega's and phi's 5 (2 096 MiB while samples held
-    # their physical forms).  The bound is 450e6 bytes
+    # child itself, is 354 MiB while a step drops its state's metric after
+    # the first stage; 383-386 MiB while the step kept it, with a sample
+    # holding 3 band fields and the identity pass dropping each field after
+    # its last use; it was 550 MiB while a sample held omega's and phi's 5
+    # (2 096 MiB while samples held their physical forms).  The bound is
+    # 450e6 bytes
     path = tmp_path / "default-n2.json"
     path.write_text(json.dumps({"dimension": 2}), encoding="utf-8")
     script = ("import resource, sys; from plurisym.cli import main; code = main(sys.argv[1:]); "

@@ -318,17 +318,36 @@ def grid_fields(grid, nbytes):
 
 def test_step_peak_memory_above_the_live_state(traced_peak):
     # tracemalloc peak of one n=3 N=6 step over what was live before it, in
-    # full-grid complex scalar fields.  Stages that keep det and one inverse
-    # half, and trace each (2,1) component through one scalar buffer,
-    # measure 33.4; stages that kept the Hermitian half of g and det, with
-    # del omega and then dbar phi in a (2,1) work field, measured 42.4,
+    # full-grid complex scalar fields.  Stages 2-4 that write their inverse
+    # half over g's half measure 29.3; stages that kept det and one new
+    # inverse half, and trace each (2,1) component through one scalar
+    # buffer, measured 33.4; stages that kept the Hermitian half of g and
+    # det, with del omega and then dbar phi in a (2,1) work field, 42.4,
     # stages that kept the full block g 46.9, stages that kept the inverse
     # 58.6, and stages holding del omega and dbar phi at once 68
     grid = TorusGrid(3, 6)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     out, peak = traced_peak(lambda: step_rk4(grid, st, 1e-4))
     assert out.t > 0.0
-    assert grid_fields(grid, peak) < 35.5
+    assert grid_fields(grid, peak) < 31.5
+
+
+def test_step_peak_memory_with_its_state_traced():
+    # the absolute tracemalloc peak of one n=3 N=6 step, tracing from before
+    # its state is built, so the state's metric counts until the step drops
+    # it: 34.4 fields, against 43.4 while the state kept its metric through
+    # the step
+    grid = TorusGrid(3, 6)
+    tracemalloc.start()
+    try:
+        st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+        tracemalloc.reset_peak()
+        out = step_rk4(grid, st, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.t > 0.0 and "metric" not in vars(st)
+    assert grid_fields(grid, peak) < 36.0
 
 
 def test_record_peak_memory_above_the_live_state(traced_peak):
@@ -362,12 +381,15 @@ def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
     grid = TorusGrid(n, points)
     st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
     before = dict(vars(grid))
-    metrics, rates = [], []
+    # the state's metric, then each one the step builds, and their halves
+    metrics, halves, rates = [weakref.ref(st.metric)], [], []
+    released_diag, released_det = st.metric.diag, st.metric.det
     real_build, real_rate = forms_mod.HermitianMetric.from_half, flow_mod._stage_rate
 
     def build(cls, diag, upper):
         metric = real_build(diag, upper)
         metrics.append(weakref.ref(metric))
+        halves.append((diag, upper))
         return metric
 
     def rate(grid_, omega_hat, phi_hat, inverse, det, buffer):
@@ -382,12 +404,18 @@ def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
     assert vars(grid).keys() == before.keys()
     assert all(vars(grid)[key] is value for key, value in before.items())
     # stages 2-4 build and check their metrics, and the last build is the
-    # stepped state's
-    assert len(rates) == 4 and len(metrics) == 4 and out.metric is metrics[-1]()
-    assert [dead for dead, *_ in rates] == [[], [True], [True] * 2, [True] * 3]
+    # stepped state's; the state's own metric is gone when the first rate
+    # runs, and each stage metric when the next rate runs
+    assert len(rates) == 4 and len(metrics) == 5 and out.metric is metrics[-1]()
+    assert [dead for dead, *_ in rates] == [[True], [True] * 2, [True] * 3, [True] * 4]
     # a rate reads band coefficients, one inverse half, det and the step's
-    # one scalar buffer; the first stage's det is the state's
-    assert rates[0][4] is st.metric.det
+    # one scalar buffer; the first stage's det is the state's, and its
+    # inverse half a new array, while stages 2-4 invert g's half in place
+    assert rates[0][4] is released_det
+    assert not any(np.shares_memory(rates[0][3][0], diag)
+                   for diag in [released_diag] + [half[0] for half in halves])
+    assert all(inv is half for rate_, pair in zip(rates[1:], halves)
+               for inv, half in zip(rate_[3], pair))
     for _, omega_hat, phi_hat, (inv_diag, inv_upper), det, buffer in rates:
         assert omega_hat.shape[2:] == phi_hat.shape[2:] == grid.band_shape
         assert inv_diag.dtype == det.dtype == np.float64 and inv_upper.dtype == np.complex128
@@ -395,10 +423,65 @@ def test_step_keeps_no_work_on_the_grid_or_the_stages(n, points, monkeypatch):
         assert inv_upper.shape == (n * (n - 1) // 2,) + grid.shape
         assert det.shape == grid.shape
         assert buffer is rates[0][5] and buffer.shape == grid.shape
-    # neither state has built its physical forms or an inverse
+    # the stepped state keeps only its band coefficients; neither state has
+    # built its physical forms or an inverse
+    assert list(vars(st)) == ["t", "omega_hat", "phi_hat", "grid"]
+    assert list(vars(out)) == ["t", "omega_hat", "phi_hat", "grid", "metric"]
     for state in (st, out):
-        assert list(vars(state)) == ["t", "omega_hat", "phi_hat", "metric", "grid"]
         assert list(vars(state.metric)) == ["n", "diag", "upper", "det"]
+
+
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
+def test_a_state_whose_metric_was_released_steps_like_a_fresh_one(n, points):
+    # the first step drops the state's metric; the second rebuilds it on
+    # its first stage, and both steps give the same bits
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    first = step_rk4(grid, st, 1e-4)
+    assert "metric" not in vars(st)
+    second = step_rk4(grid, st, 1e-4)
+    for name in ("omega_hat", "phi_hat"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    for name in ("diag", "upper", "det"):
+        assert np.array_equal(getattr(first.metric, name), getattr(second.metric, name)), name
+
+
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
+def test_step_sums_its_rates_as_the_whole_rk4_expression(n, points, monkeypatch):
+    # the rates added up as each one returns give the bits of
+    # w0 + dt/6 (k1 + 2 k2 + 2 k3 + k4) on copies of the four rates
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    rates, real_rate = [], flow_mod._stage_rate
+
+    def rate(*args):
+        out = real_rate(*args)
+        rates.append([k.copy() for k in out])
+        return out
+
+    monkeypatch.setattr(flow_mod, "_stage_rate", rate)
+    dt = 1e-4
+    out = step_rk4(grid, st, dt)
+    for name, start, (k1, k2, k3, k4) in zip(("omega_hat", "phi_hat"),
+                                             (st.omega_hat, st.phi_hat), zip(*rates)):
+        want = start + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(getattr(out, name), want), name
+
+
+@pytest.mark.parametrize("n, points", [(2, 8), (3, 4)])
+def test_a_released_metric_is_rebuilt_bitwise_on_its_next_read(n, points):
+    # a metric held across the step stays the state's metric, and the
+    # state's next read rebuilds a new metric with its bits
+    grid = TorusGrid(n, points)
+    st = make_initial_hs(grid, epsilon=0.05, seed=7, mode_cutoff=1)
+    released = st.metric
+    held = [getattr(released, name).copy() for name in ("diag", "upper", "det")]
+    step_rk4(grid, st, 1e-4)
+    rebuilt = st.metric
+    assert rebuilt is not released and vars(st)["metric"] is rebuilt
+    for name, want in zip(("diag", "upper", "det"), held):
+        assert np.array_equal(getattr(released, name), want), name
+        assert np.array_equal(getattr(rebuilt, name), want), name
 
 
 @pytest.mark.parametrize("n, points", [(2, 8), (2, 17), (3, 4), (3, 6)])

@@ -17,6 +17,7 @@ from plurisym.forms import (
     _hermitian_half,
     _hermiticity_defect,
     _inverse,
+    _inverse_entries,
     _positive_det,
     Form,
     HermitianMetric,
@@ -571,6 +572,36 @@ def test_blocked_metric_kernels_match_the_whole_payload_bytewise(n, points, bloc
               for blk in blocks]
     whole = inner_product(state.phi, state.phi, m)
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("block", [4096, None], ids=["block4096", "default"])
+@pytest.mark.parametrize("n, points", REMAINDER_GRIDS)
+def test_inverse_half_in_place_matches_the_allocating_route(n, points, block, monkeypatch):
+    # an RK4 stage writes its inverse half over g's half, block by block
+    # through block temporaries: the same bits as a new inverse half, on
+    # payloads whose last block is a remainder
+    if block:
+        monkeypatch.setattr(forms_mod, "_BLOCK", block)
+    grid = TorusGrid(n, points)
+    metric = step_rk4(grid, make_initial_hs(grid), 1e-4).metric
+    want = _inverse_entries(metric.diag, metric.upper, metric.det, n)
+    diag, upper = metric.diag.copy(), metric.upper.copy()
+    got = _inverse_entries(diag, upper, metric.det, n, in_place=True)
+    assert got[0] is diag and got[1] is upper
+    assert diag.tobytes() == want[0].tobytes() and upper.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inverse_half_in_place_at_a_single_point(n):
+    # a single point reads its entries as scalars before its inverse is
+    # written over them, and keeps its scalar bits
+    g = hermitian_part(np.eye(n) + 0.1 * np.arange(n * n).reshape(n, n) * (1 + 0.5j))
+    metric = HermitianMetric.from_matrix(g)
+    want = _inverse_entries(metric.diag, metric.upper, metric.det, n)
+    diag, upper = metric.diag.copy(), metric.upper.copy()
+    got = _inverse_entries(diag, upper, metric.det, n, in_place=True)
+    assert got[0] is diag and got[1] is upper
+    assert diag.tobytes() == want[0].tobytes() and upper.tobytes() == want[1].tobytes()
 
 
 def blocked_stack(n, blocks=3, extra=100):
